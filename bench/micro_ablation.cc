@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices DESIGN.md §6 calls out:
+// Ablation benchmarks for design choices the paper makes:
 //   * list-based query-id sets vs. bitmaps (§3.1: the paper chose lists),
 //   * merge vs. galloping set intersection (skewed operand sizes),
 //   * data-key shared hash join vs. the set-based join keyed on query_id

@@ -41,7 +41,6 @@
 #include "core/ops/sort_op.h"
 #include "core/plan_builder.h"
 #include "runtime/task_pool.h"
-#include "runtime/threaded_runtime.h"
 #include "storage/catalog.h"
 
 using namespace shareddb;
@@ -184,22 +183,13 @@ std::unique_ptr<GlobalPlan> MakeGammaPlan(Catalog* cat) {
 /// parameters: Γ must deliver each shared result to every subscriber.
 void RunGammaStage(size_t workers, int reps) {
   auto cat = MakeGammaCatalog();
-  auto plan = MakeGammaPlan(cat.get());
-  GlobalPlan* raw = plan.get();
-  std::unique_ptr<Engine> engine;
-  if (workers > 0) {
-    EngineOptions opts;
-    opts.parallel.num_workers = workers;
-    opts.parallel.min_items_per_task = 1;
-    engine = std::make_unique<Engine>(
-        std::move(plan), std::move(opts),
-        std::make_unique<ThreadedRuntime>(raw, /*pin_threads=*/false));
-  } else {
-    engine = std::make_unique<Engine>(std::move(plan));
-  }
+  EngineOptions opts;
+  opts.parallel.num_workers = workers;
+  opts.parallel.min_items_per_task = 1;
+  Engine engine(MakeGammaPlan(cat.get()), std::move(opts));
   api::ServerOptions sopts;
   sopts.start_paused = true;
-  api::Server server(engine.get(), sopts);
+  api::Server server(&engine, sopts);
   auto session = server.OpenSession();
 
   std::vector<int64_t> ns;

@@ -11,8 +11,7 @@
 //   * join methods: MySQL 5.1 had no hash join — only (index) nested loops.
 //
 // The profile parametrizes the baseline planner (join method selection) and
-// the virtual-time simulator (cost factor, core cap, contention). See
-// DESIGN.md §3 for the substitution argument.
+// the virtual-time simulator (cost factor, core cap, contention).
 
 #ifndef SHAREDDB_BASELINE_PROFILES_H_
 #define SHAREDDB_BASELINE_PROFILES_H_

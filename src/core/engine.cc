@@ -4,7 +4,7 @@
 
 #include "core/ops/router.h"
 #include "core/ops/scan_op.h"
-#include "runtime/inline_runtime.h"
+#include "runtime/executor.h"
 
 namespace shareddb {
 
@@ -29,39 +29,20 @@ void WalTableLogger::OnDelete(const Table& table, RowId row, Version v) {
   wal_->LogDelete(static_cast<uint32_t>(id), v, row);
 }
 
-Engine::Engine(std::unique_ptr<GlobalPlan> plan, EngineOptions options,
-               std::unique_ptr<Runtime> runtime)
-    : plan_(std::move(plan)), options_(std::move(options)),
-      runtime_(std::move(runtime)) {
+Engine::Engine(std::unique_ptr<GlobalPlan> plan, EngineOptions options)
+    : plan_(std::move(plan)), options_(std::move(options)) {
   SDB_CHECK(plan_ != nullptr);
-  if (runtime_ == nullptr) runtime_ = std::make_unique<InlineRuntime>();
   const ParallelOptions& po = options_.parallel;
   if (po.num_workers > 0) {
     TaskPool::Options tp;
     tp.num_workers = po.num_workers;
-    tp.pin_threads = po.pin_workers;
-    // Auto offset: pool workers start above the cores the runtime's own
-    // pinned threads claim (none for the inline runtime).
-    tp.pin_core_offset =
-        po.pin_core_offset >= 0 ? po.pin_core_offset : runtime_->claimed_cores();
     if (options_.chaos != nullptr) {
       ChaosHook* chaos = options_.chaos;
       tp.task_hook = [chaos] { chaos->OnWorkerTask(); };
     }
     task_pool_ = std::make_unique<TaskPool>(tp);
     parallel_ctx_.pool = task_pool_.get();
-    parallel_ctx_.scan = po.scan;
-    parallel_ctx_.partitions = po.partitions;
-    parallel_ctx_.sort = po.sort;
-    parallel_ctx_.join = po.join;
-    parallel_ctx_.group_by = po.group_by;
-    parallel_ctx_.distinct = po.distinct;
-    parallel_ctx_.top_n = po.top_n;
-    parallel_ctx_.probe = po.probe;
-    parallel_ctx_.index_join = po.index_join;
-    parallel_ctx_.gamma = po.gamma;
     parallel_ctx_.min_rows_per_task = po.min_rows_per_task;
-    parallel_ctx_.morsels_per_worker = po.morsels_per_worker;
     parallel_ctx_.min_items_per_task = po.min_items_per_task;
   }
   if (options_.durability.mode != DurabilityMode::kNone) InstallWal();
@@ -399,11 +380,8 @@ BatchReport Engine::RunOneBatch(size_t max_admissions) {
       // Injected slow operator: every call riding this batch waits it out.
       options_.chaos->OnBeforeExecute(report.batch_number, batch.size());
     }
-    runtime_->ExecuteCycle(plan_.get(), in, &out);
-    if (out.node_stats.size() == plan_->num_nodes()) {
-      report.node_stats = std::move(out.node_stats);
-    }
-    report.unit_stats = std::move(out.unit_stats);
+    ExecuteCycle(plan_.get(), in, &out);
+    report.node_stats = std::move(out.node_stats);
   }
 
   // --- commit ----------------------------------------------------------------
@@ -472,10 +450,8 @@ BatchReport Engine::RunOneBatch(size_t max_admissions) {
     if (routing_src[ri] != nullptr) rs.rows = routing_src[ri]->RowsFor(r.qid);
   };
   if (task_pool_ != nullptr &&
-      parallel_ctx_.EnabledItems(parallel_ctx_.gamma, routings.size())) {
-    const size_t num_tasks =
-        std::min(routings.size(),
-                 parallel_ctx_.workers() * parallel_ctx_.morsels_per_worker);
+      parallel_ctx_.EnabledItems(routings.size())) {
+    const size_t num_tasks = std::min(routings.size(), parallel_ctx_.max_tasks());
     TaskGroup group(parallel_ctx_.pool);
     for (size_t t = 0; t < num_tasks; ++t) {
       const size_t lo = t * routings.size() / num_tasks;

@@ -9,8 +9,8 @@
 //
 // The engine owns admission, batch formation (query-id assignment and
 // parameter binding), snapshot/commit management, WAL logging, and result
-// routing (Γ by query_id). Actual dataflow execution is delegated to a
-// Runtime (inline, threaded, or instrumented-for-simulation).
+// routing (Γ by query_id). Dataflow execution is delegated to the cycle
+// executor (runtime/executor.h), serial or on the engine's worker pool.
 
 #ifndef SHAREDDB_CORE_ENGINE_H_
 #define SHAREDDB_CORE_ENGINE_H_
@@ -34,43 +34,6 @@
 
 namespace shareddb {
 
-/// Everything a runtime needs to execute one cycle.
-struct BatchInput {
-  CycleContext ctx;
-  /// Active queries per node id (bound configs).
-  std::unordered_map<int, std::vector<OpQuery>> node_queries;
-  /// Updates per source node id (bound).
-  std::unordered_map<int, std::vector<UpdateOp>> node_updates;
-  /// Node ids whose outputs the engine needs (statement roots).
-  std::vector<int> needed_outputs;
-};
-
-/// What a runtime returns.
-struct BatchOutput {
-  /// Root-node outputs, keyed by node id.
-  std::unordered_map<int, DQBatch> outputs;
-  /// Per-node work, indexed by node id (replica work aggregated).
-  std::vector<WorkStats> node_stats;
-  /// Per-execution-unit work: one entry per (node, replica) that ran. With
-  /// replication (§4.5) a node contributes several units, each schedulable
-  /// on its own core by the virtual-time scheduler. Empty when no node is
-  /// replicated (node_stats is then the unit granularity).
-  std::vector<WorkStats> unit_stats;
-};
-
-/// Executes one cycle of the global plan.
-class Runtime {
- public:
-  virtual ~Runtime() = default;
-  virtual void ExecuteCycle(GlobalPlan* plan, const BatchInput& in,
-                            BatchOutput* out) = 0;
-  virtual const char* name() const = 0;
-  /// Cores this runtime's own threads claim with hard affinity (cores
-  /// [0, claimed_cores()) are taken). The engine starts pool-worker pinning
-  /// above them. 0 = runtime pins nothing (inline).
-  virtual int claimed_cores() const { return 0; }
-};
-
 /// Summary of one heartbeat, for monitoring and the simulator.
 struct BatchReport {
   uint64_t batch_number = 0;
@@ -92,12 +55,11 @@ struct BatchReport {
   /// shared by more than one query this heartbeat.
   uint64_t shared_work_saved = 0;
   /// Γ routing misses: a query's root produced no output entry at all. The
-  /// runtimes always deliver an entry for every needed root (even when it is
+  /// executor always delivers an entry for every needed root (even when it is
   /// empty), so any nonzero count is a dropped routing — a bug, asserted by
   /// SDB_DCHECK and watched by the differential fuzzer.
   uint64_t missing_root_outputs = 0;
   std::vector<WorkStats> node_stats;  // indexed by node id
-  std::vector<WorkStats> unit_stats;  // per (node, replica); see BatchOutput
 
   WorkStats TotalWork() const {
     WorkStats t;
@@ -106,32 +68,15 @@ struct BatchReport {
   }
 };
 
-/// Intra-operator parallelism knobs (see ParallelContext in task_pool.h).
+/// Worker-pool knobs (see ParallelContext in task_pool.h).
 struct ParallelOptions {
-  /// Worker threads in the shared pool (0 = serial execution everywhere).
+  /// Worker threads in the shared pool. 0 = serial execution everywhere:
+  /// plan nodes in plan order, every operator on its serial path. With
+  /// workers, independent plan nodes run concurrently and heavy operators
+  /// split their cycle into morsels.
   size_t num_workers = 0;
-  /// Pin pool workers with hard affinity. Workers land on cores ABOVE the
-  /// runtime's operator threads (see pin_core_offset); workers that would
-  /// fall off the machine run unpinned instead of stacking on claimed cores.
-  bool pin_workers = false;
-  /// First core for worker 0. Negative = auto: past the plan's node threads
-  /// under the threaded runtime, core 0 under the inline runtime.
-  int pin_core_offset = -1;
-  // Per-operator enables (ablation/bench knobs).
-  bool scan = true;
-  bool partitions = true;
-  bool sort = true;
-  bool join = true;
-  bool group_by = true;
-  bool distinct = true;
-  bool top_n = true;
-  bool probe = true;
-  bool index_join = true;
-  bool gamma = true;
   /// Inputs smaller than this stay on the serial paths.
   size_t min_rows_per_task = 2048;
-  /// Scan morsel granularity: tasks per worker (stealing headroom).
-  size_t morsels_per_worker = 4;
   /// Item-granular work (probe groups, Γ routings) below this stays serial.
   size_t min_items_per_task = 8;
 };
@@ -156,7 +101,7 @@ struct EngineOptions {
   DurabilityOptions durability;
   /// Vacuum dead row versions every N batches (0 = never).
   int vacuum_interval = 0;
-  /// Shared worker pool for intra-operator parallelism.
+  /// Shared worker pool for parallel cycle execution.
   ParallelOptions parallel;
   /// Execution-side fault injection (heartbeat stalls, slow operators,
   /// worker hiccups); must outlive the engine. Null = no injection.
@@ -166,9 +111,7 @@ struct EngineOptions {
 /// The SharedDB engine.
 class Engine {
  public:
-  /// `runtime` may be null: the engine then uses the inline runtime.
-  Engine(std::unique_ptr<GlobalPlan> plan, EngineOptions options = {},
-         std::unique_ptr<Runtime> runtime = nullptr);
+  explicit Engine(std::unique_ptr<GlobalPlan> plan, EngineOptions options = {});
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -335,7 +278,6 @@ class Engine {
 
   std::unique_ptr<GlobalPlan> plan_;
   EngineOptions options_;
-  std::unique_ptr<Runtime> runtime_;
   std::unique_ptr<TaskPool> task_pool_;
   ParallelContext parallel_ctx_;
   std::unique_ptr<Wal> wal_;

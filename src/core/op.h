@@ -7,11 +7,9 @@
 //
 //     output = op->RunCycle(inputs, active_queries, ctx, &work)
 //
-// so the same operator code runs under
-//   * the inline runtime (deterministic topological execution, used by tests,
-//     examples and the virtual-time simulator), and
-//   * the threaded runtime (thread-per-operator with queues and affinity,
-//     §4.3), which wraps RunCycle in exactly Algorithm 1's loop.
+// so the same operator code runs whether the cycle executor
+// (runtime/executor.h) calls it serially in plan order or as one task of
+// the plan's DAG on the worker pool.
 //
 // Contract:
 //   * `inputs` carries one DQBatch per child edge, in child order.
@@ -45,7 +43,7 @@ struct CycleContext {
   const std::unordered_map<int, std::vector<UpdateOp>>* updates = nullptr;
   /// Plan-node id of the operator currently running (set by the executor).
   int node_id = -1;
-  /// Intra-operator parallelism: worker pool + enables (null = serial).
+  /// Intra-operator parallelism: worker pool + thresholds (null = serial).
   /// Heavy operators (ClockScan, Sort, HashJoin) fan their cycle out over
   /// the shared pool; parallel and serial paths emit identical batches.
   const ParallelContext* parallel = nullptr;

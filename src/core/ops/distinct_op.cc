@@ -75,11 +75,11 @@ DQBatch DistinctOp::RunCycle(std::vector<BatchRef> inputs,
   // ascending index order is exactly the serial first-occurrence order, and
   // QueryIdSet::Union is value-canonical, so the output is byte-identical.
   const ParallelContext* par = ctx.parallel;
-  if (par != nullptr && par->Enabled(par->distinct, n)) {
+  if (par != nullptr && par->Enabled(n)) {
     std::vector<uint64_t> row_hash(n);
     {
       const size_t num_tasks = std::max<size_t>(
-          1, std::min(par->workers() * par->morsels_per_worker,
+          1, std::min(par->max_tasks(),
                       n / par->min_rows_per_task));
       TaskGroup group(par->pool);
       for (size_t t = 0; t < num_tasks; ++t) {

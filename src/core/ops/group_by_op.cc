@@ -177,12 +177,12 @@ DQBatch GroupByOp::RunCycle(std::vector<BatchRef> inputs,
   // accumulation order within every group match the serial pass exactly.
   const ParallelContext* par = ctx.parallel;
   std::vector<GroupArena> arenas;
-  if (par != nullptr && par->Enabled(par->group_by, n)) {
+  if (par != nullptr && par->Enabled(n)) {
     // Pass A: key hashes, morsel-parallel (the hash decides the partition).
     std::vector<uint64_t> row_hash(n);
     {
       const size_t num_tasks = std::max<size_t>(
-          1, std::min(par->workers() * par->morsels_per_worker,
+          1, std::min(par->max_tasks(),
                       n / par->min_rows_per_task));
       TaskGroup group(par->pool);
       for (size_t t = 0; t < num_tasks; ++t) {

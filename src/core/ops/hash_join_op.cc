@@ -82,7 +82,7 @@ DQBatch HashJoinOp::RunCycle(std::vector<BatchRef> inputs,
 
   const ParallelContext* par = ctx.parallel;
   const bool parallelize =
-      par != nullptr && par->Enabled(par->join, build.size() + probe.size());
+      par != nullptr && par->Enabled(build.size() + probe.size());
   // Hash partitions of the build side: each pool worker builds one, so the
   // serial case is the 1-partition instance of the same code.
   const size_t num_parts =

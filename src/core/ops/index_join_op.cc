@@ -38,7 +38,7 @@ DQBatch IndexJoinOp::RunCycle(std::vector<BatchRef> inputs,
 
   const size_t n = outer.size();
   const ParallelContext* par = ctx.parallel;
-  if (par != nullptr && par->Enabled(par->index_join, n)) {
+  if (par != nullptr && par->Enabled(n)) {
     // Parallel path, three passes, byte-identical to the serial loop.
     //
     // Pass 1 (serial, cheap): walk the outer rows discovering distinct key
@@ -74,7 +74,7 @@ DQBatch IndexJoinOp::RunCycle(std::vector<BatchRef> inputs,
     // guard below, exactly like the serial path.
     {
       const size_t num_tasks = std::max<size_t>(
-          1, std::min(slots.size(), par->workers() * par->morsels_per_worker));
+          1, std::min(slots.size(), par->max_tasks()));
       TaskGroup group(par->pool);
       for (size_t t = 0; t < num_tasks; ++t) {
         const size_t lo = t * slots.size() / num_tasks;
@@ -92,7 +92,7 @@ DQBatch IndexJoinOp::RunCycle(std::vector<BatchRef> inputs,
     // Pass 3: morsel-parallel join. Each morsel of outer rows builds its own
     // output batch; concatenating them in morsel order is the input order.
     const size_t num_morsels = std::max<size_t>(
-        1, std::min(par->workers() * par->morsels_per_worker,
+        1, std::min(par->max_tasks(),
                     n / par->min_rows_per_task));
     std::vector<DQBatch> parts;
     parts.reserve(num_morsels);

@@ -103,7 +103,7 @@ void BalancedMergeRound(const DQBatch& in, const std::vector<SortKey>& keys,
       continue;
     }
     size_t splits = std::max<size_t>(
-        1, std::min(par.workers() * par.morsels_per_worker,
+        1, std::min(par.max_tasks(),
                     (len_a + len_b) / par.min_rows_per_task));
     splits = std::min(splits, len_a);
     size_t prev_a = a.lo;

@@ -256,14 +256,14 @@ DQBatch ProbeOp::RunCycle(std::vector<BatchRef> inputs,
   hits.Clear();  // emit sorts by RowId for stable output
 
   const ParallelContext* par = ctx.parallel;
-  if (par != nullptr && par->EnabledItems(par->probe, items.size())) {
+  if (par != nullptr && par->EnabledItems(items.size())) {
     // Fan the items out in contiguous chunks, each with its own hit map,
     // then merge. QueryIdSet union is value-canonical, so a row's merged
     // annotation equals whatever order the serial loop built it in; rows
     // touched with an empty contribution stay present (and empty), exactly
     // like the serial operator[] insert.
     const size_t num_chunks =
-        std::min(items.size(), par->workers() * par->morsels_per_worker);
+        std::min(items.size(), par->max_tasks());
     std::vector<FlatHashMap<RowId, QueryIdSet>> chunk_hits(num_chunks);
     std::vector<ExecState> chunk_state(num_chunks);
     TaskGroup group(par->pool);

@@ -37,7 +37,7 @@ DQBatch SortOp::RunCycle(std::vector<BatchRef> inputs,
   const size_t n = in.size();
   uint64_t comparisons = 0;
   const ParallelContext* par = ctx.parallel;
-  const bool use_parallel = par != nullptr && par->Enabled(par->sort, n);
+  const bool use_parallel = par != nullptr && par->Enabled(n);
   std::vector<uint32_t> order =
       StableSortPermutation(in, keys_, use_parallel ? par : nullptr, &comparisons);
   if (stats != nullptr) {

@@ -30,7 +30,7 @@ DQBatch TopNOp::RunCycle(std::vector<BatchRef> inputs,
   // serial stable sort).
   const ParallelContext* par = ctx.parallel;
   const bool use_parallel =
-      par != nullptr && par->Enabled(par->top_n, in.size());
+      par != nullptr && par->Enabled(in.size());
   uint64_t comparisons = 0;
   const std::vector<uint32_t> order =
       StableSortPermutation(in, keys_, use_parallel ? par : nullptr, &comparisons);

@@ -24,15 +24,10 @@ struct PlanNode {
   std::string label;  // fingerprint (explain / debugging)
   std::unique_ptr<SharedOp> op;
   std::vector<int> inputs;     // child node ids, in op input order
-  std::vector<int> consumers;  // parent node ids (for the threaded runtime)
+  /// Parent node ids, once per edge (a parent reading this node twice is
+  /// listed twice, adjacently).
+  std::vector<int> consumers;
   Table* source_table = nullptr;  // non-null for Scan/Probe sources
-
-  /// Operator replication (paper §4.5): a bottleneck node's queries are
-  /// partitioned round-robin across `replicas` executions of the operator
-  /// per cycle; each replica's work is accounted separately so the
-  /// virtual-time scheduler can place replicas on different cores. Updates
-  /// are always routed to replica 0 only (the replicas share the storage).
-  int replicas = 1;
 };
 
 /// Per-(statement, node) configuration template; params still unbound.
@@ -102,14 +97,6 @@ class GlobalPlan {
   int AddNode(PlanNode node);
   StatementId AddStatement(StatementDef def);
   void SetUpdateNode(const std::string& table, int node);
-
-  /// Replicates node `id` (§4.5): its per-cycle query load is split across
-  /// `replicas` executions. `replicas` >= 1; 1 disables replication.
-  void SetReplicas(int id, int replicas) {
-    SDB_CHECK(id >= 0 && static_cast<size_t>(id) < nodes_.size());
-    SDB_CHECK(replicas >= 1);
-    nodes_[static_cast<size_t>(id)].replicas = replicas;
-  }
 
  private:
   Catalog* catalog_;

@@ -4,8 +4,7 @@
 // counters serve three purposes:
 //   1. tests assert sharing actually reduces work (the paper's core claim);
 //   2. the virtual-time simulator (src/sim) converts work into time for an
-//      N-core machine — this is the hardware substitution documented in
-//      DESIGN.md §3;
+//      N-core machine;
 //   3. bench output reports work alongside wall-clock.
 
 #ifndef SHAREDDB_CORE_WORK_STATS_H_

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/logging.h"
-#include "runtime/affinity.h"
 
 namespace shareddb {
 
@@ -90,12 +89,6 @@ bool TaskPool::RunOneTask(size_t self) {
 }
 
 void TaskPool::WorkerLoop(size_t index) {
-  if (options_.pin_threads) {
-    // Cores below the offset belong to the runtime's operator threads; a
-    // worker whose target core does not exist runs unpinned instead of
-    // doubling up on an already-claimed core.
-    TryPinCurrentThreadToCore(options_.pin_core_offset + static_cast<int>(index));
-  }
   for (;;) {
     if (RunOneTask(index)) continue;
     MutexLock lock(&idle_mu_);
@@ -137,22 +130,40 @@ void TaskGroup::Run(std::function<void()> fn) {
     ++pending_;
   }
   pool_->Submit(home_, TaskPool::Task{std::move(fn), this});
+  bool wake;
+  {
+    MutexLock lock(&mu_);
+    ++submitted_;
+    wake = waiter_asleep_;
+  }
+  // When the caller is one of this group's tasks, the waiter may be asleep
+  // with nothing left to run but this new task.
+  if (wake) cv_.NotifyAll();
 }
 
 void TaskGroup::Wait() {
   if (pool_ != nullptr) {
     for (;;) {
+      uint64_t seen = 0;
       {
         MutexLock lock(&mu_);
         if (pending_ == 0) break;
+        seen = submitted_;
       }
-      // Participate: run any queued task (ours or another group's). Our own
-      // tasks are only ever enqueued by this thread, so when none is queued
-      // the stragglers are running on workers — sleep until one finishes.
+      // Participate: run any queued task (ours or another group's).
       if (pool_->RunOneTask(SIZE_MAX)) continue;
+      // Nothing queued, so the stragglers are running on workers. They may
+      // still spawn into this group: sleep only while no Run() has completed
+      // since the scan, or a task queued behind it would wait out the sleep.
+      // Run() bumps submitted_ after queueing, so a task the scan missed
+      // either shows up here or wakes us. The timeout only bounds how long
+      // other groups' queued tasks go without our help.
       MutexLock lock(&mu_);
       if (pending_ == 0) break;
+      if (submitted_ != seen) continue;
+      waiter_asleep_ = true;
       cv_.WaitFor(&mu_, std::chrono::milliseconds(1));
+      waiter_asleep_ = false;
     }
   }
   std::exception_ptr e;

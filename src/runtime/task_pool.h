@@ -1,9 +1,11 @@
-// TaskPool: a work-stealing worker pool shared by both runtimes for
-// INTRA-operator parallelism (paper §4.4–§4.5: Crescando "supports horizontal
-// partitioning of data and processing several partitions with different cores
-// in parallel"). The thread-per-operator runtime (§4.3) gives each plan node
-// one core; this pool lets a single heavy operator — ClockScan, sort, hash
-// join, a partitioned scan — soak up additional cores within one cycle.
+// TaskPool: the engine's one work-stealing worker pool. It carries both
+// kinds of parallelism the executor uses within a heartbeat:
+//   * INTER-operator: the global plan's DAG, one task per plan node,
+//     submitted when the node's last input arrives (runtime/executor.cc);
+//   * INTRA-operator (paper §4.4–§4.5: Crescando "supports horizontal
+//     partitioning of data and processing several partitions with different
+//     cores in parallel"): a heavy operator — ClockScan, sort, hash join, a
+//     partitioned scan — fans one cycle out into morsel tasks.
 //
 // Design:
 //   * Each worker owns a deque. A TaskGroup enqueues its tasks onto ONE home
@@ -12,7 +14,7 @@
 //   * TaskGroup::Wait() PARTICIPATES: the waiting thread executes queued
 //     tasks (its own group's or others') instead of blocking, so a pool with
 //     zero workers degrades to inline serial execution and nested groups
-//     (a partition task that fans out scan morsels) cannot deadlock.
+//     (a plan-node task that fans out scan morsels) cannot deadlock.
 //   * The first exception thrown by a task is captured and rethrown from
 //     Wait(); remaining tasks still run (operators must not be torn mid-
 //     cycle).
@@ -46,11 +48,6 @@ class TaskPool {
  public:
   struct Options {
     size_t num_workers = 0;
-    /// Pin worker i to core `pin_core_offset + i` — only when that core
-    /// exists; workers beyond the machine run unpinned rather than stacking
-    /// onto cores already claimed by operator threads.
-    bool pin_threads = false;
-    int pin_core_offset = 0;
     /// Chaos injection: invoked before each task executes (on workers AND
     /// participating waiters). May sleep ("worker hiccup"), must not throw.
     /// Null = no overhead beyond one branch.
@@ -58,7 +55,7 @@ class TaskPool {
   };
 
   explicit TaskPool(size_t num_workers)
-      : TaskPool(Options{num_workers, false, 0, nullptr}) {}
+      : TaskPool(Options{num_workers, nullptr}) {}
   explicit TaskPool(const Options& options);
   ~TaskPool();
 
@@ -115,8 +112,12 @@ class TaskPool {
   std::atomic<uint64_t> tasks_executed_{0};
 };
 
-/// A set of tasks forming one fork-join region (e.g. the morsels of one scan
-/// cycle). Not thread-safe: one thread forks, the same thread joins.
+/// A set of tasks forming one fork-join region (the morsels of one scan
+/// cycle, or the plan nodes of one heartbeat). Run() is thread-safe: a task
+/// of the group may spawn further tasks into it (the executor submits a plan
+/// node from the task of its last-finishing input). A spawned task counts as
+/// pending from its Run() call, before the spawning task finishes, so the
+/// group never looks drained mid-cascade. Wait() has one caller at a time.
 class TaskGroup {
  public:
   /// `pool` may be null or have zero workers: Run() then executes inline.
@@ -127,7 +128,8 @@ class TaskGroup {
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   /// Schedules one task (or runs it inline without a pool). Exceptions are
-  /// captured; the first one is rethrown by Wait().
+  /// captured; the first one is rethrown by Wait(). Callable from any thread,
+  /// including this group's own tasks.
   void Run(std::function<void()> fn);
 
   /// Executes queued work on the calling thread until every task of this
@@ -145,6 +147,11 @@ class TaskGroup {
   Mutex mu_{"task_group"};
   CondVar cv_;
   size_t pending_ SDB_GUARDED_BY(mu_) = 0;
+  /// Bumped after each pooled Run() has queued its task: a waiter that found
+  /// no task to run sleeps only while this stays unchanged.
+  uint64_t submitted_ SDB_GUARDED_BY(mu_) = 0;
+  /// The waiter is asleep in Wait(); Run() wakes it only then.
+  bool waiter_asleep_ SDB_GUARDED_BY(mu_) = false;
   std::exception_ptr error_ SDB_GUARDED_BY(mu_);
 };
 
@@ -153,25 +160,14 @@ class TaskGroup {
 /// serial paths everywhere — parallel and serial paths produce byte-identical
 /// batches, so this is purely a performance knob.
 struct ParallelContext {
-  TaskPool* pool = nullptr;
+  /// Morsel granularity: aim for this many tasks per worker so stealing can
+  /// rebalance skewed morsels.
+  static constexpr size_t kMorselsPerWorker = 4;
 
-  // Per-operator enables (all default on; useful for ablation benches).
-  bool scan = true;        // morsel-parallel ClockScan phase 2
-  bool partitions = true;  // PartitionedTable: one cycle task per partition
-  bool sort = true;        // SortOp: parallel run sort + loser-tree/balanced merge
-  bool join = true;        // HashJoinOp: partitioned build + chunked probe
-  bool group_by = true;    // GroupByOp: hash-partitioned grouping
-  bool distinct = true;    // DistinctOp: hash-partitioned dedup
-  bool top_n = true;       // TopNOp: parallel phase-1 sort
-  bool probe = true;       // ProbeOp: chunked probe groups
-  bool index_join = true;  // IndexJoinOp: parallel lookups + morsel join
-  bool gamma = true;       // Engine Γ: parallel result-set materialization
+  TaskPool* pool = nullptr;
 
   /// Inputs smaller than this stay serial (task dispatch would dominate).
   size_t min_rows_per_task = 2048;
-  /// Morsel granularity: aim for this many tasks per worker so stealing can
-  /// rebalance skewed morsels.
-  size_t morsels_per_worker = 4;
   /// Item-granular work (probe groups, Γ routings): fewer items than this
   /// stay serial. Items are coarse units — each may touch many rows — so the
   /// threshold is much lower than min_rows_per_task.
@@ -179,14 +175,17 @@ struct ParallelContext {
 
   size_t workers() const { return pool == nullptr ? 0 : pool->num_workers(); }
 
-  /// True when the `flag`-gated parallel path should run for `rows` items.
-  bool Enabled(bool flag, size_t rows) const {
-    return flag && workers() > 0 && rows >= 2 * min_rows_per_task;
+  /// Upper bound on the tasks one operator cycle splits into.
+  size_t max_tasks() const { return workers() * kMorselsPerWorker; }
+
+  /// True when the parallel path should run for `rows` input rows.
+  bool Enabled(size_t rows) const {
+    return workers() > 0 && rows >= 2 * min_rows_per_task;
   }
 
   /// Item-granular variant of Enabled() (see min_items_per_task).
-  bool EnabledItems(bool flag, size_t items) const {
-    return flag && workers() > 0 && items >= min_items_per_task;
+  bool EnabledItems(size_t items) const {
+    return workers() > 0 && items >= min_items_per_task;
   }
 };
 

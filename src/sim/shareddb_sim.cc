@@ -6,14 +6,11 @@ namespace shareddb {
 namespace sim {
 
 double SharedDbLoadSim::BatchSeconds(const BatchReport& report) const {
-  // Operator-per-core assignment (LPT when ops > cores). With operator
-  // replication (§4.5) each replica is its own schedulable unit.
-  const std::vector<WorkStats>& units =
-      report.unit_stats.empty() ? report.node_stats : report.unit_stats;
+  // Operator-per-core assignment (LPT when ops > cores).
   std::vector<double> node_seconds;
   double total = 0;
-  node_seconds.reserve(units.size());
-  for (const WorkStats& w : units) {
+  node_seconds.reserve(report.node_stats.size());
+  for (const WorkStats& w : report.node_stats) {
     const double s = options_.cost.Seconds(w);
     if (s > 0) node_seconds.push_back(s);
     total += s;

@@ -1,6 +1,6 @@
 // Virtual-time load simulation of the SharedDB server.
 //
-// The engine executes every batch FOR REAL (inline runtime) — results,
+// The engine executes every batch FOR REAL (serial executor) — results,
 // snapshots and updates are all genuine; only the clock is simulated:
 // per-node work from the batch report is converted to time on N simulated
 // cores via the cost model, with operators assigned to cores as in §4.3

@@ -143,7 +143,7 @@ DQBatch ClockScan::RunCycle(const std::vector<ScanQuerySpec>& queries,
   clock_hand_ = (clock_hand_ + 1) % num_segments;
 
   const bool parallelize = parallel != nullptr && num_segments > 1 &&
-                           parallel->Enabled(parallel->scan, physical);
+                           parallel->Enabled(physical);
   if (!parallelize) {
     PredicateIndex::MatchContext mctx;
     ScanSegmentRun(*table_, index, read_snapshot, start, 0, num_segments,
@@ -156,7 +156,7 @@ DQBatch ClockScan::RunCycle(const std::vector<ScanQuerySpec>& queries,
   // move-concatenated in run order — the same segment order the serial pass
   // walks — so the output batch is byte-identical.
   size_t num_tasks = std::min(
-      num_segments, parallel->workers() * parallel->morsels_per_worker);
+      num_segments, parallel->max_tasks());
   const size_t max_by_rows = std::max<size_t>(1, physical / parallel->min_rows_per_task);
   num_tasks = std::max<size_t>(1, std::min(num_tasks, max_by_rows));
 

@@ -112,8 +112,8 @@ DQBatch PartitionedTable::RunScanCycle(
   // morsel-parallelize its segment pass via the same pool (nested groups are
   // safe: waiting tasks participate in execution).
   std::vector<DQBatch> parts(num_parts);
-  const bool parallelize = parallel != nullptr && num_parts > 1 &&
-                           parallel->partitions && parallel->workers() > 0;
+  const bool parallelize =
+      parallel != nullptr && num_parts > 1 && parallel->workers() > 0;
   TaskGroup group(parallelize ? parallel->pool : nullptr);
   for (size_t p = 0; p < num_parts; ++p) {
     group.Run([this, p, &local_queries, &local_updates, read_snapshot,

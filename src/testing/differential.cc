@@ -11,7 +11,6 @@
 #include "common/string_util.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "runtime/threaded_runtime.h"
 #include "storage/io.h"
 #include "storage/wal.h"
 #include "testing/canonical.h"
@@ -24,7 +23,6 @@ namespace {
 
 /// Per-seed randomized execution environment of the shared stack.
 struct EnvConfig {
-  bool threaded = false;
   size_t workers = 0;
   size_t cap = 0;         // max_admissions_per_batch (0 = unlimited)
   int64_t window_us = 0;  // min_batch_window
@@ -34,9 +32,9 @@ struct EnvConfig {
 
   std::string ToString() const {
     return StringPrintf(
-        "runtime=%s workers=%zu cap=%zu window_us=%lld vacuum=%d profile=%s "
+        "workers=%zu cap=%zu window_us=%lld vacuum=%d profile=%s "
         "pauses=%zu",
-        threaded ? "threaded" : "inline", workers, cap,
+        workers, cap,
         static_cast<long long>(window_us), vacuum,
         mysql_profile ? "MySQL-like" : "SystemX-like", pauses);
   }
@@ -44,7 +42,6 @@ struct EnvConfig {
 
 EnvConfig DrawEnv(Rng* rng) {
   EnvConfig env;
-  env.threaded = rng->Bernoulli(0.3);
   static const size_t kWorkers[] = {0, 0, 0, 1, 2, 4};
   static const size_t kCaps[] = {0, 0, 0, 1, 2, 5};
   static const int64_t kWindows[] = {0, 0, 0, 200, 1000};
@@ -72,18 +69,12 @@ SharedStack BuildShared(const RandomWorkloadGenerator& gen, const EnvConfig& env
   GlobalPlanBuilder builder(s.catalog.get());
   gen.RegisterShared(&builder);
   std::unique_ptr<GlobalPlan> plan = builder.Build();
-  GlobalPlan* raw = plan.get();
   EngineOptions opts;
   opts.durability = durability;
   opts.vacuum_interval = env.vacuum;
   opts.parallel.num_workers = env.workers;
   opts.parallel.min_rows_per_task = 16;  // small tables must still split
-  std::unique_ptr<Runtime> rt;
-  if (env.threaded) {
-    rt = std::make_unique<ThreadedRuntime>(raw, /*pin_threads=*/false);
-  }
-  s.engine = std::make_unique<Engine>(std::move(plan), std::move(opts),
-                                      std::move(rt));
+  s.engine = std::make_unique<Engine>(std::move(plan), std::move(opts));
   api::ServerOptions sopts;
   sopts.max_admissions_per_batch = env.cap;
   sopts.min_batch_window = std::chrono::microseconds(env.window_us);
@@ -192,7 +183,7 @@ bool TryRepro(const RandomWorkloadGenerator& gen,
               const std::vector<StatementCall>& calls, bool inject_fault,
               std::string* log) {
   if (calls.empty()) return false;
-  EnvConfig env;  // serial defaults: inline runtime, no caps
+  EnvConfig env;  // serial defaults: no workers, no caps
   SharedStack shared = BuildShared(gen, env, /*start_paused=*/true);
   OracleStack oracle = BuildOracle(gen, /*mysql_profile=*/false);
   const std::string fault_statement =
@@ -720,7 +711,7 @@ SeedReport RunSeed(const RunOptions& opts) {
     const auto run_crash_workload = [&](storage::FaultyEnv* fault_env,
                                         size_t batches, uint64_t salt) {
       CrashRun run;
-      EnvConfig serial;  // inline runtime, no caps, no vacuum: deterministic
+      EnvConfig serial;  // no workers, no caps, no vacuum: deterministic
       DurabilityOptions dur;
       dur.mode = DurabilityMode::kGroupCommit;
       dur.wal_path = kWalPath;

@@ -2,9 +2,10 @@
 // ways and compared call-for-call.
 //
 //   * shared side — a live api::Server/Session stack over the SharedDB
-//     engine, with the execution environment randomized per seed (inline vs
-//     thread-per-operator runtime, worker-pool size, admission caps, batch
-//     gather windows, vacuum cadence) plus driver pauses, cancellations and
+//     engine, with the execution environment randomized per seed (worker-
+//     pool size — 0 runs plan nodes serially, more runs them concurrently
+//     as a DAG — admission caps, batch gather windows, vacuum cadence) plus
+//     driver pauses, cancellations and
 //     deadlines exercised along the way;
 //   * oracle side — the query-at-a-time src/baseline engine (profile
 //     randomized per seed) executing the same statement instances.

@@ -10,7 +10,6 @@
 #include "api/server.h"
 #include "common/sync.h"
 #include "common/string_util.h"
-#include "runtime/threaded_runtime.h"
 #include "testing/canonical.h"
 #include "testing/chaos.h"
 
@@ -22,7 +21,6 @@ namespace {
 /// Per-seed randomized capacity + chaos configuration. Capacities are tiny
 /// on purpose: the workload below is sized to overflow them.
 struct OverloadEnv {
-  bool threaded = false;
   size_t workers = 0;
   size_t cap = 1;           // max_admissions_per_batch
   size_t queue_depth = 4;   // max_queue_depth
@@ -32,9 +30,9 @@ struct OverloadEnv {
 
   std::string ToString() const {
     return StringPrintf(
-        "runtime=%s workers=%zu cap=%zu queue=%zu inflight=%zu window_us=%lld "
+        "workers=%zu cap=%zu queue=%zu inflight=%zu window_us=%lld "
         "chaos(stall=%.2f/%dus slow=%.2f/%dus hiccup=%.2f/%dus)",
-        threaded ? "threaded" : "inline", workers, cap, queue_depth,
+        workers, cap, queue_depth,
         inflight_cap, static_cast<long long>(window_us), chaos.stall_p,
         chaos.max_stall_us, chaos.slow_exec_p, chaos.max_exec_us,
         chaos.hiccup_p, chaos.max_hiccup_us);
@@ -43,7 +41,6 @@ struct OverloadEnv {
 
 OverloadEnv DrawOverloadEnv(Rng* rng) {
   OverloadEnv env;
-  env.threaded = rng->Bernoulli(0.25);
   static const size_t kWorkers[] = {0, 0, 1, 2};
   static const size_t kCaps[] = {1, 1, 2, 4};
   static const size_t kQueues[] = {2, 4, 4, 8};
@@ -82,17 +79,11 @@ OverloadStack BuildOverloadStack(const RandomWorkloadGenerator& gen,
   GlobalPlanBuilder builder(s.catalog.get());
   gen.RegisterShared(&builder);
   std::unique_ptr<GlobalPlan> plan = builder.Build();
-  GlobalPlan* raw = plan.get();
   EngineOptions opts;
   opts.parallel.num_workers = env.workers;
   opts.parallel.min_rows_per_task = 16;
   opts.chaos = s.chaos.get();
-  std::unique_ptr<Runtime> rt;
-  if (env.threaded) {
-    rt = std::make_unique<ThreadedRuntime>(raw, /*pin_threads=*/false);
-  }
-  s.engine =
-      std::make_unique<Engine>(std::move(plan), std::move(opts), std::move(rt));
+  s.engine = std::make_unique<Engine>(std::move(plan), std::move(opts));
   api::ServerOptions sopts;
   sopts.max_admissions_per_batch = env.cap;
   sopts.min_batch_window = std::chrono::microseconds(env.window_us);

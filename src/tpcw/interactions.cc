@@ -6,7 +6,7 @@ namespace tpcw {
 namespace {
 
 /// Recent-orders cutoff for the BestSellers analysis window — the stand-in
-/// for the spec's "latest 3333 orders" (DESIGN.md substitution table).
+/// for the spec's "latest 3333 orders" (TPC-W BestSellers; paper §5.1).
 constexpr int64_t kRecentWindowDays = 60;
 
 int64_t RandItem(const TpcwScale& scale, Rng* rng) {

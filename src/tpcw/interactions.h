@@ -3,10 +3,10 @@
 // is translated to a number of database queries, depending on the type of
 // the interaction").
 //
-// Simplification (documented in DESIGN.md): parameters are derived from
-// client-tracked state (the emulated browser remembers its customer id, its
-// cart contents, its last order id) plus random draws — mirroring the
-// paper's setup where "the clients also ran the application logic". This
+// Simplification: parameters are derived from client-tracked state (the
+// emulated browser remembers its customer id, its cart contents, its last
+// order id) plus random draws — mirroring the paper's setup where "the
+// clients also ran the application logic". This
 // makes an interaction's statement list computable up front, which both the
 // synchronous runner and the virtual-time simulator consume.
 

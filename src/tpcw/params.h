@@ -3,7 +3,7 @@
 // cardinality. Defaults here are scaled down ~10x relative to the paper's
 // runs so experiments complete quickly on one core; every bench prints the
 // scale it used. Shapes (who wins, crossovers) depend on relative per-query
-// work, not absolute table sizes — see DESIGN.md §3.
+// work, not absolute table sizes.
 
 #ifndef SHAREDDB_TPCW_PARAMS_H_
 #define SHAREDDB_TPCW_PARAMS_H_

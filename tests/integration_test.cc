@@ -1,14 +1,13 @@
-// Cross-module integration tests: the full TPC-W workload under the
-// thread-per-operator runtime (must be result-identical to the inline
-// runtime), WAL-backed TPC-W recovery, and snapshot isolation across mixed
-// query/update batches on the real workload.
+// Cross-module integration tests: the full TPC-W workload with the global
+// plan run as a DAG on a worker pool (must be result-identical to serial
+// plan-order execution), WAL-backed TPC-W recovery, and snapshot isolation
+// across mixed query/update batches on the real workload.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "api/server.h"
-#include "runtime/threaded_runtime.h"
 #include "testing_util.h"
 #include "tpcw/global_plan.h"
 #include "tpcw/harness.h"
@@ -24,27 +23,29 @@ tpcw::TpcwScale TinyScale() {
   return s;
 }
 
-// The threaded (thread-per-operator, Algorithm 1) runtime must produce
-// exactly the inline runtime's results on the full TPC-W workload.
-TEST(ThreadedTpcw, MatchesInlineAcrossInteractions) {
+EngineOptions ThreeWorkers() {
+  EngineOptions opts;
+  opts.parallel.num_workers = 3;
+  return opts;
+}
+
+// The DAG schedule on a 3-worker pool must produce exactly the serial
+// schedule's results on the full TPC-W workload.
+TEST(DagTpcw, MatchesSerialAcrossInteractions) {
   const tpcw::TpcwScale scale = TinyScale();
 
   auto db_i = tpcw::MakeTpcwDatabase(scale, 13);
-  Engine inline_engine(tpcw::BuildTpcwGlobalPlan(&db_i->catalog));
+  Engine serial_engine(tpcw::BuildTpcwGlobalPlan(&db_i->catalog));
 
   auto db_t = tpcw::MakeTpcwDatabase(scale, 13);
-  auto plan_t = tpcw::BuildTpcwGlobalPlan(&db_t->catalog);
-  GlobalPlan* plan_ptr = plan_t.get();
-  Engine threaded_engine(
-      std::move(plan_t), EngineOptions{},
-      std::make_unique<ThreadedRuntime>(plan_ptr, /*pin_threads=*/false));
+  Engine dag_engine(tpcw::BuildTpcwGlobalPlan(&db_t->catalog), ThreeWorkers());
 
   // Live drivers on both servers: each blocking Execute rides the next
   // heartbeat, preserving the statement-at-a-time snapshot semantics.
-  api::Server inline_server(&inline_engine);
-  api::Server threaded_server(&threaded_engine);
-  auto session_i = inline_server.OpenSession();
-  auto session_t = threaded_server.OpenSession();
+  api::Server serial_server(&serial_engine);
+  api::Server dag_server(&dag_engine);
+  auto session_i = serial_server.OpenSession();
+  auto session_t = dag_server.OpenSession();
 
   tpcw::EbState eb_i, eb_t;
   eb_i.customer_id = eb_t.customer_id = 3;
@@ -64,42 +65,47 @@ TEST(ThreadedTpcw, MatchesInlineAcrossInteractions) {
   }
 }
 
-// Concurrent mixed batches on the threaded runtime: many queries + updates
-// per heartbeat, across several heartbeats.
-TEST(ThreadedTpcw, MixedBatchesAreConsistent) {
+// Mixed batches on a 3-worker pool vs serial: many queries + updates per
+// heartbeat, across several heartbeats. Results and per-node work agree.
+TEST(DagTpcw, MixedBatchesMatchSerial) {
   const tpcw::TpcwScale scale = TinyScale();
-  auto db = tpcw::MakeTpcwDatabase(scale, 13);
-  auto plan = tpcw::BuildTpcwGlobalPlan(&db->catalog);
-  GlobalPlan* plan_ptr = plan.get();
-  Engine engine(std::move(plan), EngineOptions{},
-                std::make_unique<ThreadedRuntime>(plan_ptr, false));
+  auto db_s = tpcw::MakeTpcwDatabase(scale, 13);
+  auto db_d = tpcw::MakeTpcwDatabase(scale, 13);
+  Engine serial_engine(tpcw::BuildTpcwGlobalPlan(&db_s->catalog));
+  Engine dag_engine(tpcw::BuildTpcwGlobalPlan(&db_d->catalog), ThreeWorkers());
   api::ServerOptions sopts;
   sopts.start_paused = true;
-  api::Server server(&engine, sopts);
-  auto session = server.OpenSession();
+  api::Server serial_server(&serial_engine, sopts);
+  api::Server dag_server(&dag_engine, sopts);
+  auto ss = serial_server.OpenSession();
+  auto sd = dag_server.OpenSession();
 
   for (int round = 0; round < 5; ++round) {
-    std::vector<api::AsyncResult> fs;
+    std::vector<api::AsyncResult> fs, fd;
+    const auto both = [&](const std::string& name, std::vector<Value> params) {
+      fs.push_back(ss->ExecuteAsync(name, params));
+      fd.push_back(sd->ExecuteAsync(name, std::move(params)));
+    };
     for (int i = 0; i < 20; ++i) {
-      fs.push_back(session->ExecuteAsync(
-          "search_by_subject", {Value::Int((round * 20 + i) % 24)}));
+      both("search_by_subject", {Value::Int((round * 20 + i) % 24)});
     }
-    const int64_t item = round;
-    api::AsyncResult fu = session->ExecuteAsync(
-        "decrement_stock", {Value::Int(item), Value::Int(1)});
-    const BatchReport r = server.StepBatch();
-    EXPECT_EQ(r.num_admitted, 21u);
-    for (auto& f : fs) {
-      const ResultSet rs = f.Get();
-      EXPECT_TRUE(rs.status.ok());
+    both("item_by_id", {Value::Int(round)});
+    both("best_sellers", {Value::Int(round % 24), Value::Int(30)});
+    both("decrement_stock", {Value::Int(round), Value::Int(1)});
+    const BatchReport rs = serial_server.StepBatch();
+    const BatchReport rd = dag_server.StepBatch();
+    const std::string label = "round " + std::to_string(round);
+    EXPECT_EQ(rd.num_admitted, 23u) << label;
+    EXPECT_EQ(rd.missing_root_outputs, 0u) << label;
+    ExpectNodeStatsEqual(rs.node_stats, rd.node_stats, label);
+    for (size_t i = 0; i < fs.size(); ++i) {
+      const ResultSet a = fs[i].Get();
+      const ResultSet b = fd[i].Get();
+      EXPECT_TRUE(b.status.ok()) << label;
+      ExpectResultsEqual(a, b, label + " call " + std::to_string(i));
     }
-    EXPECT_EQ(fu.Get().update_count, 1u);
+    // The last call is the update; ExpectResultsEqual compared its count.
   }
-  // All five decrements landed (one per batch, each visible to the next).
-  api::AsyncResult f0 = session->ExecuteAsync("item_by_id", {Value::Int(0)});
-  server.StepBatch();
-  const ResultSet item0 = f0.Get();
-  ASSERT_EQ(item0.rows.size(), 1u);
 }
 
 // Full TPC-W WAL round trip: run a write-heavy session with WAL enabled,

@@ -1,164 +1,149 @@
-// Runtime tests: the threaded (thread-per-operator, Algorithm 1) runtime
-// must produce exactly the same results as the inline runtime, across many
-// batches, with updates interleaved. Plus SyncedQueue and affinity units.
+// Cycle-executor tests: running the global plan as a DAG on the worker pool
+// must produce exactly what the serial plan-order schedule produces — the
+// same results and the same per-node WorkStats — across many batches, with
+// updates interleaved, at 1/2/4/8 workers.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <thread>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "api/server.h"
 #include "core/engine.h"
 #include "core/plan_builder.h"
-#include "runtime/affinity.h"
-#include "runtime/synced_queue.h"
-#include "runtime/threaded_runtime.h"
+#include "testing_util.h"
 
 namespace shareddb {
 namespace {
 
-TEST(SyncedQueueTest, PushPopOrder) {
-  SyncedQueue<int> q;
-  q.Push(1);
-  q.Push(2);
-  EXPECT_EQ(q.Size(), 2u);
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.TryPop().value(), 2);
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(SyncedQueueTest, CloseUnblocksPop) {
-  SyncedQueue<int> q;
-  std::thread t([&] {
-    const auto v = q.Pop();
-    EXPECT_FALSE(v.has_value());
-  });
-  q.Close();
-  t.join();
-}
-
-TEST(SyncedQueueTest, CrossThreadTransfer) {
-  SyncedQueue<int> q;
-  constexpr int kN = 1000;
-  std::thread producer([&] {
-    for (int i = 0; i < kN; ++i) q.Push(i);
-    q.Close();
-  });
-  int expected = 0;
-  while (auto v = q.Pop()) {
-    EXPECT_EQ(*v, expected++);
+std::unique_ptr<Catalog> MakeCatalog() {
+  auto catalog = std::make_unique<Catalog>();
+  Table* users = catalog->CreateTable(
+      "users", Schema::Make({{"user_id", ValueType::kInt},
+                             {"country", ValueType::kInt},
+                             {"account", ValueType::kInt}}));
+  Table* orders = catalog->CreateTable(
+      "orders", Schema::Make({{"order_id", ValueType::kInt},
+                              {"user_id", ValueType::kInt},
+                              {"amount", ValueType::kInt}}));
+  for (int i = 0; i < 30; ++i) {
+    users->Insert({Value::Int(i), Value::Int(i % 5), Value::Int(i * 10)}, 1);
   }
-  EXPECT_EQ(expected, kN);
-  producer.join();
+  for (int i = 0; i < 90; ++i) {
+    orders->Insert({Value::Int(i), Value::Int(i % 30), Value::Int(i)}, 1);
+  }
+  catalog->snapshots().Reset(1);
+  return catalog;
 }
 
-TEST(AffinityTest, PinSucceedsOrDegradesGracefully) {
-  EXPECT_GE(NumOnlineCores(), 1);
-  // Must not crash; success depends on the environment.
-  PinCurrentThreadToCore(0);
-  PinCurrentThreadToCore(NumOnlineCores() + 5);  // wraps modulo cores
+/// Two shared scans feed a join, a group-by and a top-N: after the scans,
+/// three nodes are ready at once.
+std::unique_ptr<GlobalPlan> BuildPlan(Catalog* catalog) {
+  GlobalPlanBuilder b(catalog);
+  const SchemaPtr us = catalog->MustGetTable("users")->schema();
+  b.AddQuery("user_orders",
+             logical::HashJoin(
+                 logical::Scan("users", Expr::Eq(Expr::Column(*us, "user_id"),
+                                                 Expr::Param(0))),
+                 logical::Scan("orders"), "user_id", "user_id", nullptr, "u", "o"));
+  b.AddQuery("by_country",
+             logical::GroupBy(logical::Scan("users"), {"country"},
+                              {{AggSpec{AggFunc::kSum, -1, "total"}, "account"}}));
+  b.AddQuery("top_orders", logical::TopN(logical::Scan("orders"),
+                                         {{"amount", false}}, Expr::Param(0)));
+  b.AddUpdate("bump", "users",
+              {{"account", Expr::Add(Expr::Column(2), Expr::Param(1))}},
+              Expr::Eq(Expr::Column(0), Expr::Param(0)));
+  return b.Build();
 }
 
-// --- threaded vs inline equivalence --------------------------------------------
+EngineOptions Workers(size_t n, size_t min_rows_per_task = 2048) {
+  EngineOptions opts;
+  opts.parallel.num_workers = n;
+  opts.parallel.min_rows_per_task = min_rows_per_task;
+  return opts;
+}
 
-class RuntimeFixture : public ::testing::Test {
- protected:
-  void SetUp() override {
-    users_ = catalog_.CreateTable(
-        "users", Schema::Make({{"user_id", ValueType::kInt},
-                               {"country", ValueType::kInt},
-                               {"account", ValueType::kInt}}));
-    orders_ = catalog_.CreateTable(
-        "orders", Schema::Make({{"order_id", ValueType::kInt},
-                                {"user_id", ValueType::kInt},
-                                {"amount", ValueType::kInt}}));
-    for (int i = 0; i < 30; ++i) {
-      users_->Insert({Value::Int(i), Value::Int(i % 5), Value::Int(i * 10)}, 1);
-    }
-    for (int i = 0; i < 90; ++i) {
-      orders_->Insert({Value::Int(i), Value::Int(i % 30), Value::Int(i)}, 1);
-    }
-    catalog_.snapshots().Reset(1);
-  }
+class DagVsSerial : public ::testing::TestWithParam<size_t> {};
 
-  std::unique_ptr<GlobalPlan> BuildPlan() {
-    GlobalPlanBuilder b(&catalog_);
-    const SchemaPtr us = users_->schema();
-    b.AddQuery("user_orders",
-               logical::HashJoin(
-                   logical::Scan("users", Expr::Eq(Expr::Column(*us, "user_id"),
-                                                   Expr::Param(0))),
-                   logical::Scan("orders"), "user_id", "user_id", nullptr, "u", "o"));
-    b.AddQuery("by_country",
-               logical::GroupBy(logical::Scan("users"), {"country"},
-                                {{AggSpec{AggFunc::kSum, -1, "total"}, "account"}}));
-    b.AddQuery("top_orders", logical::TopN(logical::Scan("orders"),
-                                           {{"amount", false}}, Expr::Param(0)));
-    b.AddUpdate("bump", "users",
-                {{"account", Expr::Add(Expr::Column(2), Expr::Param(1))}},
-                Expr::Eq(Expr::Column(0), Expr::Param(0)));
-    return b.Build();
-  }
-
-  Catalog catalog_;
-  Table* users_;
-  Table* orders_;
-};
-
-TEST_F(RuntimeFixture, ThreadedMatchesInlineAcrossBatches) {
-  // Two identical engines over two identical catalogs would be cleaner, but
-  // results are deterministic: run inline first, record, reset is not
-  // possible — so run the same read-only batches on one catalog with two
-  // engines sharing it (reads don't mutate). Paused servers + StepBatch pin
-  // the exact batch composition on both sides.
-  auto plan_inline = BuildPlan();
-  auto plan_threaded = BuildPlan();
-  GlobalPlan* raw_threaded = plan_threaded.get();
-  Engine inline_engine(std::move(plan_inline));
-  Engine threaded_engine(std::move(plan_threaded), {},
-                         std::make_unique<ThreadedRuntime>(raw_threaded));
+TEST_P(DagVsSerial, MatchesSerialAcrossBatchesWithUpdates) {
+  // Two identical catalogs: the updates mutate each engine's own tables.
+  // Paused servers + StepBatch pin the exact batch composition on both sides.
+  auto serial_cat = MakeCatalog();
+  auto dag_cat = MakeCatalog();
+  Engine serial_engine(BuildPlan(serial_cat.get()));
+  Engine dag_engine(BuildPlan(dag_cat.get()), Workers(GetParam()));
+  ASSERT_EQ(serial_engine.task_pool(), nullptr);
+  ASSERT_NE(dag_engine.task_pool(), nullptr);
   api::ServerOptions sopts;
   sopts.start_paused = true;
-  api::Server inline_server(&inline_engine, sopts);
-  api::Server threaded_server(&threaded_engine, sopts);
-  auto si = inline_server.OpenSession();
-  auto st = threaded_server.OpenSession();
+  api::Server serial_server(&serial_engine, sopts);
+  api::Server dag_server(&dag_engine, sopts);
+  auto ss = serial_server.OpenSession();
+  auto sd = dag_server.OpenSession();
 
-  for (int round = 0; round < 5; ++round) {
-    std::vector<api::AsyncResult> fi, ft;
-    for (int uid = 0; uid < 8; ++uid) {
-      fi.push_back(si->ExecuteAsync("user_orders", {Value::Int(uid)}));
-      ft.push_back(st->ExecuteAsync("user_orders", {Value::Int(uid)}));
-    }
-    fi.push_back(si->ExecuteAsync("by_country", {}));
-    ft.push_back(st->ExecuteAsync("by_country", {}));
-    fi.push_back(si->ExecuteAsync("top_orders", {Value::Int(7)}));
-    ft.push_back(st->ExecuteAsync("top_orders", {Value::Int(7)}));
+  for (int round = 0; round < 6; ++round) {
+    std::vector<api::AsyncResult> fs, fd;
+    const auto both = [&](const std::string& name, std::vector<Value> params) {
+      fs.push_back(ss->ExecuteAsync(name, params));
+      fd.push_back(sd->ExecuteAsync(name, std::move(params)));
+    };
+    for (int uid = 0; uid < 8; ++uid) both("user_orders", {Value::Int(uid)});
+    both("by_country", {});
+    both("top_orders", {Value::Int(7)});
+    both("bump", {Value::Int(round), Value::Int(1000)});
+    // Some rounds leave a subtree idle: nodes without queries must still
+    // hand their consumers typed empty batches.
+    if (round % 2 == 1) both("top_orders", {Value::Int(3)});
 
-    inline_server.StepBatch();
-    threaded_server.StepBatch();
-
-    for (size_t i = 0; i < fi.size(); ++i) {
-      ResultSet a = fi[i].Get();
-      ResultSet b = ft[i].Get();
-      ASSERT_EQ(a.rows.size(), b.rows.size()) << "round " << round << " q " << i;
-      auto sorted = [](std::vector<Tuple> v) {
-        std::sort(v.begin(), v.end(), TupleLess);
-        return v;
-      };
-      const auto sa = sorted(a.rows);
-      const auto sb = sorted(b.rows);
-      for (size_t r = 0; r < sa.size(); ++r) {
-        EXPECT_TRUE(TuplesEqual(sa[r], sb[r]));
-      }
+    const BatchReport rs = serial_server.StepBatch();
+    const BatchReport rd = dag_server.StepBatch();
+    const std::string label = "round " + std::to_string(round);
+    EXPECT_EQ(rs.missing_root_outputs, 0u) << label;
+    EXPECT_EQ(rd.missing_root_outputs, 0u) << label;
+    EXPECT_EQ(rs.rows_touched, rd.rows_touched) << label;
+    ExpectNodeStatsEqual(rs.node_stats, rd.node_stats, label);
+    for (size_t i = 0; i < fs.size(); ++i) {
+      ExpectResultsEqual(fs[i].Get(), fd[i].Get(), label + " call " + std::to_string(i));
     }
   }
 }
 
-TEST_F(RuntimeFixture, ThreadedAppliesUpdates) {
-  auto plan = BuildPlan();
-  GlobalPlan* raw = plan.get();
-  Engine engine(std::move(plan), {}, std::make_unique<ThreadedRuntime>(raw));
+TEST_P(DagVsSerial, IdleSubtreesAndSingleStatementBatches) {
+  // One statement per batch: most of the plan does not participate, so the
+  // DAG starts from a single source (or from an update-only scan).
+  auto serial_cat = MakeCatalog();
+  auto dag_cat = MakeCatalog();
+  Engine serial_engine(BuildPlan(serial_cat.get()));
+  Engine dag_engine(BuildPlan(dag_cat.get()), Workers(GetParam()));
+  api::ServerOptions sopts;
+  sopts.start_paused = true;
+  api::Server serial_server(&serial_engine, sopts);
+  api::Server dag_server(&dag_engine, sopts);
+  auto ss = serial_server.OpenSession();
+  auto sd = dag_server.OpenSession();
+  const std::vector<std::pair<std::string, std::vector<Value>>> calls = {
+      {"bump", {Value::Int(4), Value::Int(5)}},
+      {"top_orders", {Value::Int(2)}},
+      {"by_country", {}},
+      {"user_orders", {Value::Int(4)}},
+  };
+  for (const auto& [name, params] : calls) {
+    api::AsyncResult a = ss->ExecuteAsync(name, params);
+    api::AsyncResult b = sd->ExecuteAsync(name, params);
+    const BatchReport rs = serial_server.StepBatch();
+    const BatchReport rd = dag_server.StepBatch();
+    ExpectNodeStatsEqual(rs.node_stats, rd.node_stats, name);
+    ExpectResultsEqual(a.Get(), b.Get(), name);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, DagVsSerial, ::testing::Values(1, 2, 4, 8));
+
+TEST(DagExecutor, AppliesUpdates) {
+  auto catalog = MakeCatalog();
+  Engine engine(BuildPlan(catalog.get()), Workers(4));
   api::Server server(&engine);
   auto session = server.OpenSession();
   ResultSet up = session->Execute("bump", {Value::Int(5), Value::Int(1000)});
@@ -168,10 +153,14 @@ TEST_F(RuntimeFixture, ThreadedAppliesUpdates) {
   EXPECT_EQ(rs.rows[0][2].AsInt(), 50 + 1000);
 }
 
-TEST_F(RuntimeFixture, ThreadedManyBatchesStressNoDeadlock) {
-  auto plan = BuildPlan();
-  GlobalPlan* raw = plan.get();
-  Engine engine(std::move(plan), {}, std::make_unique<ThreadedRuntime>(raw));
+class DagStress : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(DagStress, ManyBatchesNoDeadlock) {
+  // A tiny split threshold makes operators fork nested morsel groups inside
+  // their DAG tasks. At 1 worker, node tasks and their morsels all share the
+  // single worker and the participating heartbeat thread.
+  auto catalog = MakeCatalog();
+  Engine engine(BuildPlan(catalog.get()), Workers(GetParam(), 4));
   // Live heartbeat driver: async submissions race batch formation here,
   // which is exactly the production shape this stress guards.
   api::Server server(&engine);
@@ -182,19 +171,16 @@ TEST_F(RuntimeFixture, ThreadedManyBatchesStressNoDeadlock) {
       fs.push_back(session->ExecuteAsync("user_orders", {Value::Int(i)}));
     }
     fs.push_back(session->ExecuteAsync("by_country", {}));
-    for (auto& f : fs) f.Get();
+    fs.push_back(session->ExecuteAsync("top_orders", {Value::Int(4)}));
+    for (auto& f : fs) EXPECT_TRUE(f.Get().status.ok());
   }
   server.Pause();  // quiesce so the final heartbeat's report is recorded
   EXPECT_GE(engine.batches_run(), 1u);
-  EXPECT_EQ(server.stats().statements_admitted, 50u * 6u);
+  EXPECT_EQ(server.stats().statements_admitted, 50u * 7u);
+  EXPECT_GT(engine.task_pool()->tasks_executed(), 0u);
 }
 
-TEST_F(RuntimeFixture, ThreadedRuntimeThreadCountMatchesPlan) {
-  auto plan = BuildPlan();
-  GlobalPlan* raw = plan.get();
-  ThreadedRuntime rt(raw);
-  EXPECT_EQ(rt.num_threads(), raw->num_nodes());
-}
+INSTANTIATE_TEST_SUITE_P(Workers, DagStress, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace shareddb

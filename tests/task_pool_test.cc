@@ -1,10 +1,11 @@
 // TaskPool unit tests: submit/steal/shutdown, caller participation,
-// exception propagation, nesting, and the affinity contract for workers.
+// exception propagation, nesting, and tasks spawning into their own group.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -141,6 +142,43 @@ TEST(TaskPoolTest, NestedGroupsDoNotDeadlock) {
   }
   outer.Wait();
   EXPECT_EQ(leaves.load(), 32);
+}
+
+TEST(TaskPoolTest, TasksSpawnIntoTheirOwnGroupFromNestedMorsels) {
+  // The executor's shape: the heartbeat thread waits on a group whose tasks
+  // (plan nodes) submit further tasks into that same group, and they do it
+  // from inside an inner morsel group of their own. Every spawned task must
+  // run, and Wait() must neither return early nor hang — at 1 worker, where
+  // everything shares one worker plus the waiter, and at 4.
+  constexpr int kSeeds = 3;
+  constexpr int kDepth = 6;  // each task below kDepth spawns two children
+  constexpr int kMorsels = 4;
+  constexpr int kTasks = kSeeds * ((1 << (kDepth + 1)) - 1);
+  for (const size_t workers : {size_t{1}, size_t{4}}) {
+    for (int rep = 0; rep < 5; ++rep) {
+      TaskPool pool(workers);
+      std::atomic<int> tasks{0};
+      std::atomic<int> morsels{0};
+      TaskGroup outer(&pool);
+      std::function<void(int)> node = [&](int depth) {
+        ++tasks;
+        TaskGroup inner(&pool);
+        for (int m = 0; m < kMorsels; ++m) {
+          inner.Run([&, depth, m] {
+            ++morsels;
+            if (depth < kDepth && m < 2) {
+              outer.Run([&node, depth] { node(depth + 1); });
+            }
+          });
+        }
+        inner.Wait();
+      };
+      for (int i = 0; i < kSeeds; ++i) outer.Run([&node] { node(0); });
+      outer.Wait();
+      EXPECT_EQ(tasks.load(), kTasks) << "workers=" << workers;
+      EXPECT_EQ(morsels.load(), kTasks * kMorsels) << "workers=" << workers;
+    }
+  }
 }
 
 TEST(TaskPoolTest, ManyGroupsStress) {

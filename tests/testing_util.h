@@ -18,6 +18,7 @@
 
 #include "common/batch.h"
 #include "core/query.h"
+#include "core/work_stats.h"
 #include "testing/canonical.h"
 
 namespace shareddb {
@@ -53,6 +54,37 @@ inline void ExpectBatchesIdentical(const DQBatch& a, const DQBatch& b,
           << testing::CanonicalValue(b.tuples[i][c]);
     }
     EXPECT_TRUE(a.qids[i] == b.qids[i]) << label << " qids of row " << i;
+  }
+}
+
+/// Asserts per-node work counters agree node for node. With
+/// `same_algorithm` false, the two counters that depend on which path an
+/// operator took are skipped, because intra-operator parallel paths change
+/// them legitimately: comparisons (a morsel sort plus merge compares more
+/// than one serial sort) and qid_elems (each worker interns its own
+/// annotation sets).
+inline void ExpectNodeStatsEqual(const std::vector<WorkStats>& a,
+                                 const std::vector<WorkStats>& b,
+                                 const std::string& label,
+                                 bool same_algorithm = true) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const std::string node = label + " node " + std::to_string(i);
+    EXPECT_EQ(a[i].tuples_in, b[i].tuples_in) << node;
+    EXPECT_EQ(a[i].tuples_out, b[i].tuples_out) << node;
+    EXPECT_EQ(a[i].rows_scanned, b[i].rows_scanned) << node;
+    EXPECT_EQ(a[i].hash_builds, b[i].hash_builds) << node;
+    EXPECT_EQ(a[i].hash_probes, b[i].hash_probes) << node;
+    if (same_algorithm) {
+      EXPECT_EQ(a[i].comparisons, b[i].comparisons) << node;
+    }
+    EXPECT_EQ(a[i].index_lookups, b[i].index_lookups) << node;
+    EXPECT_EQ(a[i].predicate_evals, b[i].predicate_evals) << node;
+    EXPECT_EQ(a[i].agg_updates, b[i].agg_updates) << node;
+    EXPECT_EQ(a[i].updates_applied, b[i].updates_applied) << node;
+    if (same_algorithm) {
+      EXPECT_EQ(a[i].qid_elems, b[i].qid_elems) << node;
+    }
   }
 }
 
