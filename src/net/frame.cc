@@ -91,7 +91,7 @@ std::string SealFrame(FrameType type, uint64_t request_id,
   return frame;
 }
 
-DecodeStatus DecodeFrame(const std::string& buf, size_t max_payload,
+DecodeStatus DecodeFrame(std::string_view buf, size_t max_payload,
                          Frame* out, size_t* consumed) {
   if (buf.size() < kFrameHeaderBytes) return DecodeStatus::kNeedMore;
   wire::Reader header(buf.data(), kFrameHeaderBytes);
@@ -111,7 +111,7 @@ DecodeStatus DecodeFrame(const std::string& buf, size_t max_payload,
     return DecodeStatus::kBadPayload;
   }
   out->type = static_cast<FrameType>(type);
-  out->body.assign(buf, kFrameHeaderBytes + 9, len - 9);
+  out->body.assign(buf.data() + kFrameHeaderBytes + 9, len - 9);
   *consumed = kFrameHeaderBytes + len;
   return DecodeStatus::kFrame;
 }

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/schema.h"
@@ -84,10 +85,11 @@ enum class DecodeStatus {
 };
 
 /// Tries to decode one frame from the front of `buf`. On kFrame, `*out` is
-/// filled and `*consumed` is the byte count to drop from the buffer. On
-/// kOversized the hostile length is NOT buffered — callers reject after the
-/// 8 header bytes.
-DecodeStatus DecodeFrame(const std::string& buf, size_t max_payload,
+/// filled and `*consumed` is the byte count to drop from the buffer (or to
+/// advance past, for a caller that walks a buffer by offset). On kOversized
+/// the hostile length is NOT buffered — callers reject after the 8 header
+/// bytes.
+DecodeStatus DecodeFrame(std::string_view buf, size_t max_payload,
                          Frame* out, size_t* consumed);
 
 // --- typed message bodies ----------------------------------------------------

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -429,11 +430,16 @@ struct Server::Worker {
     }
   }
 
-  /// Edge-triggered read: drains the socket, decodes and dispatches every
-  /// complete frame, then flushes responses. Returns false when the
-  /// connection was closed.
-  bool ReadConn(Conn* c) {
+  /// Edge-triggered read: drains the socket up to EAGAIN or EOF, decodes
+  /// and dispatches every complete frame, then flushes responses. Frames
+  /// that arrived before the peer's EOF are answered; the EOF then acts as
+  /// GOODBYE. A hard read error or a hang-up (`hangup`: EPOLLERR/EPOLLHUP)
+  /// still decodes what was read, so damaged frames are counted, but closes
+  /// without flushing: the peer cannot receive the replies. Returns false
+  /// when the connection was closed (`c` is then dangling).
+  bool ReadConn(Conn* c, bool hangup) {
     char buf[65536];
+    bool eof = false;
     for (;;) {
       const ssize_t n = read(c->fd, buf, sizeof(buf));
       if (n > 0) {
@@ -444,18 +450,23 @@ struct Server::Worker {
       }
       if (n < 0 && errno == EINTR) continue;
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      CloseConn(c);  // EOF or hard error; pendings are cancelled
-      return false;
+      if (n < 0) hangup = true;  // hard error (reset): nobody to answer
+      eof = true;
+      break;
     }
+    // Walk the buffer by offset and erase the decoded prefix once: erasing
+    // frame by frame is quadratic in the bytes one drain can buffer.
+    size_t off = 0;
     while (!c->close_after_flush) {
       Frame f;
       size_t consumed = 0;
       const DecodeStatus ds =
-          DecodeFrame(c->rbuf, srv->options_.max_frame_bytes, &f, &consumed);
+          DecodeFrame(std::string_view(c->rbuf).substr(off),
+                      srv->options_.max_frame_bytes, &f, &consumed);
       if (ds == DecodeStatus::kNeedMore) break;
       if (ds == DecodeStatus::kFrame) {
         srv->frames_in_.fetch_add(1, std::memory_order_relaxed);
-        c->rbuf.erase(0, consumed);
+        off += consumed;
         HandleFrame(c, f);
         continue;
       }
@@ -467,6 +478,12 @@ struct Server::Worker {
       MarkProtocolError(c, 0, what);
       break;
     }
+    c->rbuf.erase(0, off);
+    if (hangup) {
+      CloseConn(c);  // pendings are cancelled
+      return false;
+    }
+    if (eof) c->close_after_flush = true;
     return FlushWrites(c);
   }
 
@@ -605,12 +622,13 @@ struct Server::Worker {
         }
         Conn* c = Find(tag);
         if (c == nullptr) continue;  // closed earlier in this batch
-        if ((evs[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
+        const bool hangup = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+        if ((evs[i].events & (EPOLLIN | EPOLLRDHUP)) != 0) {
+          // Also on a hang-up: decode the bytes the socket still holds.
+          if (!ReadConn(c, hangup)) continue;
+        } else if (hangup) {
           CloseConn(c);
           continue;
-        }
-        if ((evs[i].events & (EPOLLIN | EPOLLRDHUP)) != 0) {
-          if (!ReadConn(c)) continue;
         }
         if ((evs[i].events & EPOLLOUT) != 0) {
           if ((c = Find(tag)) != nullptr) (void)FlushWrites(c);

@@ -28,6 +28,17 @@
 // frame and the socket closes; nothing queues without bound. Oversized or
 // checksum-damaged frames get a typed ERROR then close.
 //
+// Half-close: every complete frame that arrives before the peer's EOF is
+// decoded and answered, however the bytes and the FIN split across reads
+// (a damaged one still gets its typed ERROR and counts in
+// protocol_errors). The EOF then acts as GOODBYE: the connection closes
+// once its buffered replies are written, and engine calls still in flight
+// at that close are cancelled, not answered. This is a chosen behaviour —
+// neither the paper nor the protocol settles whether such calls should be
+// answered first. A reset peer (EPOLLERR/EPOLLHUP, or a hard read error)
+// also has its received bytes decoded and counted, but the replies are
+// dropped: nobody is left to read them.
+//
 // Lifecycle: construct over a RUNNING api::Server, Start(), Shutdown()
 // (idempotent; also run by the destructor) BEFORE the api::Server is
 // destroyed, and never while the api driver is paused with calls in flight

@@ -16,7 +16,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/plan_builder.h"
@@ -589,22 +591,45 @@ class RawConn {
     }
     return true;
   }
-  /// Reads until EOF, error, or timeout; returns the bytes.
+  /// Reads until EOF, error, or timeout; returns the bytes. saw_eof()
+  /// then tells an orderly close from a reset or a timeout.
   std::string ReadAll() {
     std::string out;
     char buf[4096];
     for (;;) {
       const ssize_t n = recv(fd_, buf, sizeof(buf), 0);
-      if (n <= 0) break;
+      if (n <= 0) {
+        saw_eof_ = n == 0;
+        break;
+      }
       out.append(buf, static_cast<size_t>(n));
     }
     return out;
   }
+  bool saw_eof() const { return saw_eof_; }
   int fd() const { return fd_; }
 
  private:
   int fd_ = -1;
+  bool saw_eof_ = false;
 };
+
+/// Splits a byte stream into whole frames; stops at the first byte run that
+/// is not one (a trailing partial or damaged frame).
+std::vector<net::Frame> SplitFrames(std::string bytes) {
+  std::vector<net::Frame> frames;
+  for (;;) {
+    net::Frame f;
+    size_t consumed = 0;
+    if (net::DecodeFrame(bytes, net::kDefaultMaxPayload, &f, &consumed) !=
+        net::DecodeStatus::kFrame) {
+      break;
+    }
+    bytes.erase(0, consumed);
+    frames.push_back(std::move(f));
+  }
+  return frames;
+}
 
 // Seeded garbage-stream fuzz: random bytes, bit-flipped and truncated valid
 // frames, and pathological length prefixes against a live listener. The
@@ -687,6 +712,121 @@ TEST_F(NetFixture, GarbageStreamsNeverWedgeTheServer) {
   EXPECT_TRUE(rs.status.ok()) << rs.status.ToString();
   const net::NetServerStats ns = net_server.stats();
   EXPECT_GT(ns.protocol_errors, 0u);
+  net_server.Shutdown();
+}
+
+// Frames that arrive before the peer's EOF are decoded and answered, however
+// the data and the FIN are split across the server's reads. Each stream is
+// written in one send and half-closed at once, so the data and the FIN often
+// land in one drain: a server that closed on EOF before decoding would
+// answer those streams with a bare close.
+TEST_F(NetFixture, HalfCloseAfterDamagedFrameStillGetsTypedError) {
+  Engine engine(BuildPlan());
+  api::Server server(&engine);
+  net::Server net_server(&server);
+  ASSERT_TRUE(net_server.Start().ok());
+
+  const std::string hello = net::SealFrame(
+      net::FrameType::kHello, 1,
+      net::EncodeHello({net::kProtocolVersion, "half-close"}));
+  std::string damaged = net::SealFrame(
+      net::FrameType::kExecute, 2,
+      net::EncodeExecute({true, 0, "user_by_id", 0, {Value::Int(1)}}));
+  // Past the 8-byte header: the length stays intact, so the frame is whole
+  // and fails only its checksum (kBadCrc).
+  damaged[net::kFrameHeaderBytes + 3] ^= 0x04;
+
+  constexpr int kConns = 50;
+  std::vector<RawConn> conns(kConns);
+  for (RawConn& conn : conns) {
+    ASSERT_TRUE(conn.Connect(net_server.port()));
+    ASSERT_TRUE(conn.Send(hello + damaged));
+    ASSERT_EQ(shutdown(conn.fd(), SHUT_WR), 0);
+  }
+  for (int i = 0; i < kConns; ++i) {
+    const std::vector<net::Frame> frames = SplitFrames(conns[i].ReadAll());
+    EXPECT_TRUE(conns[i].saw_eof()) << "connection " << i;
+    ASSERT_EQ(frames.size(), 2u) << "connection " << i;
+    EXPECT_EQ(frames[0].type, net::FrameType::kPong);
+    EXPECT_EQ(frames[0].request_id, 1u);
+    ASSERT_EQ(frames[1].type, net::FrameType::kError);
+    EXPECT_EQ(frames[1].request_id, 0u);
+    net::ErrorMsg e;
+    ASSERT_TRUE(net::DecodeError(frames[1].body, &e));
+    EXPECT_EQ(e.code, StatusCode::kInvalidArgument) << e.message;
+  }
+  EXPECT_EQ(net_server.stats().protocol_errors,
+            static_cast<uint64_t>(kConns));
+  net_server.Shutdown();
+}
+
+// A peer that resets its connection right after a damaged frame cannot get
+// the ERROR, but the frame was received, so protocol_errors counts it —
+// also when the bytes and the reset reach the server in one event.
+TEST_F(NetFixture, ResetAfterDamagedFrameIsStillCounted) {
+  Engine engine(BuildPlan());
+  api::Server server(&engine);
+  net::Server net_server(&server);
+  ASSERT_TRUE(net_server.Start().ok());
+
+  std::string damaged = net::SealFrame(
+      net::FrameType::kExecute, 2,
+      net::EncodeExecute({true, 0, "user_by_id", 0, {Value::Int(1)}}));
+  damaged[net::kFrameHeaderBytes + 3] ^= 0x04;
+  const std::string stream =
+      net::SealFrame(net::FrameType::kHello, 1,
+                     net::EncodeHello({net::kProtocolVersion, "reset"})) +
+      damaged;
+
+  constexpr uint64_t kConns = 20;
+  for (uint64_t i = 0; i < kConns; ++i) {
+    RawConn conn;
+    ASSERT_TRUE(conn.Connect(net_server.port()));
+    ASSERT_TRUE(conn.Send(stream));
+    linger lg{1, 0};  // close() sends RST instead of FIN
+    ASSERT_EQ(setsockopt(conn.fd(), SOL_SOCKET, SO_LINGER, &lg, sizeof(lg)),
+              0);
+  }
+  // The closes are asynchronous to the server: wait for it to see them all.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (net_server.stats().connections_closed < kConns &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const net::NetServerStats ns = net_server.stats();
+  EXPECT_EQ(ns.connections_closed, kConns);
+  EXPECT_EQ(ns.protocol_errors, kConns);
+  net_server.Shutdown();
+}
+
+// A clean request followed by a half-close is answered before the close:
+// the EOF acts as GOODBYE, it does not discard what came before it.
+TEST_F(NetFixture, HalfCloseAfterPrepareStillGetsResult) {
+  Engine engine(BuildPlan());
+  api::Server server(&engine);
+  net::Server net_server(&server);
+  ASSERT_TRUE(net_server.Start().ok());
+
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(net_server.port()));
+  ASSERT_TRUE(conn.Send(
+      net::SealFrame(net::FrameType::kHello, 1,
+                     net::EncodeHello({net::kProtocolVersion, "half-close"})) +
+      net::SealFrame(net::FrameType::kPrepare, 2,
+                     net::EncodePrepare({"user_by_id"}))));
+  ASSERT_EQ(shutdown(conn.fd(), SHUT_WR), 0);
+  const std::vector<net::Frame> frames = SplitFrames(conn.ReadAll());
+  EXPECT_TRUE(conn.saw_eof());
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].type, net::FrameType::kPong);
+  ASSERT_EQ(frames[1].type, net::FrameType::kResult);
+  EXPECT_EQ(frames[1].request_id, 2u);
+  net::ResultHead head;
+  std::vector<Tuple> rows;
+  ASSERT_TRUE(net::DecodeResultHead(frames[1].body, &head, &rows));
+  EXPECT_EQ(head.update_count, 1u);  // user_by_id takes one parameter
+  EXPECT_EQ(net_server.stats().protocol_errors, 0u);
   net_server.Shutdown();
 }
 
