@@ -33,9 +33,9 @@ void Server::Shutdown() {
   wake_cv_.NotifyAll();
   if (driver_.joinable()) driver_.join();
   // The driver is gone; the batch that was in flight (if any) has fulfilled
-  // its calls. Everything still queued never ran — complete those futures
+  // its calls. Everything still queued never ran — complete those calls
   // with kUnavailable and refuse submissions from here on, so no client
-  // future ever dangles on a destroyed server.
+  // call ever dangles on a destroyed server.
   engine_->CloseSubmissions(
       Status::Unavailable("server shut down before the statement was admitted"));
 }
@@ -44,26 +44,14 @@ std::unique_ptr<Session> Server::OpenSession() {
   return std::unique_ptr<Session>(new Session(this));
 }
 
-std::future<ResultSet> Server::Submit(StatementId statement,
-                                      std::vector<Value> params,
-                                      Engine::SubmitOptions opts) {
+Status Server::Submit(StatementId statement, std::vector<Value> params,
+                      Engine::SubmitOptions opts, Engine::CompletionSink sink) {
   opts.max_queue_depth = options_.max_queue_depth;
   opts.max_inflight = options_.max_session_inflight;
-  std::future<ResultSet> f =
-      engine_->Submit(statement, std::move(params), std::move(opts));
+  Status s = engine_->Submit(statement, std::move(params), std::move(opts),
+                             std::move(sink));
   NudgeDriver();
-  return f;
-}
-
-std::future<ResultSet> Server::SubmitNamed(const std::string& name,
-                                           std::vector<Value> params,
-                                           Engine::SubmitOptions opts) {
-  opts.max_queue_depth = options_.max_queue_depth;
-  opts.max_inflight = options_.max_session_inflight;
-  std::future<ResultSet> f =
-      engine_->SubmitNamed(name, std::move(params), std::move(opts));
-  NudgeDriver();
-  return f;
+  return s;
 }
 
 void Server::NudgeDriver() {

@@ -70,7 +70,7 @@ class Server {
   /// Graceful drain, idempotent: stops the heartbeat driver (the batch in
   /// flight finishes and fulfills its calls), then completes every
   /// queued-but-unadmitted statement with kUnavailable and refuses further
-  /// submissions (ready kUnavailable results). No future ever dangles.
+  /// submissions (synchronous kUnavailable). No call is left unanswered.
   void Shutdown();
 
   Server(const Server&) = delete;
@@ -140,15 +140,14 @@ class Server {
 
  private:
   friend class Session;
-  friend class AsyncResult;
+  friend class CallCanceller;
 
   /// `opts` carries the per-call pieces (cancel token, deadline, in-flight
   /// gauge); the server stamps its queue-depth / in-flight policy on top.
-  std::future<ResultSet> Submit(StatementId statement, std::vector<Value> params,
-                                Engine::SubmitOptions opts);
-  std::future<ResultSet> SubmitNamed(const std::string& name,
-                                     std::vector<Value> params,
-                                     Engine::SubmitOptions opts);
+  /// Same contract as Engine::Submit: OK = queued and `sink` will run once;
+  /// otherwise the synchronous rejection, and the sink never runs.
+  Status Submit(StatementId statement, std::vector<Value> params,
+                Engine::SubmitOptions opts, Engine::CompletionSink sink);
   /// Wakes the driver for new work (submission or cancellation flush).
   void NudgeDriver();
   void DriverLoop();

@@ -20,9 +20,7 @@ AsyncResult& AsyncResult::operator=(AsyncResult&& other) {
   if (this != &other) {
     if (future_.valid()) Cancel();
     future_ = std::move(other.future_);
-    cancel_ = std::move(other.cancel_);
-    server_ = other.server_;
-    other.server_ = nullptr;
+    canceller_ = std::move(other.canceller_);
   }
   return *this;
 }
@@ -47,12 +45,12 @@ ResultSet AsyncResult::GetWithDeadline(
   return future_.get();
 }
 
-void AsyncResult::Cancel() {
-  if (cancel_ == nullptr) return;
-  cancel_->store(true, std::memory_order_release);
+void CallCanceller::Cancel() const {
+  if (flag_ == nullptr) return;
+  flag_->store(true, std::memory_order_release);
   // Flush heartbeat: an otherwise-idle driver must still drain the entry so
-  // Get() observes the Aborted status promptly.
-  if (server_ != nullptr) server_->NudgeDriver();
+  // the caller observes the Aborted status promptly.
+  server_->NudgeDriver();
 }
 
 Status Session::Prepare(const std::string& name, PreparedStatement* out) {
@@ -77,7 +75,6 @@ void Session::set_retry_policy(RetryPolicy policy) {
 
 ResultSet Session::Finish(std::future<ResultSet> f) {
   ResultSet rs = f.get();
-  ++stats_.statements;
   // Both counters are clamped at the engine (a same-batch fulfillment has
   // batches_waited == 0 and spills == 0, never a wrapped uint64), so these
   // sums cannot overflow from a single bad term.
@@ -87,17 +84,17 @@ ResultSet Session::Finish(std::future<ResultSet> f) {
   return rs;
 }
 
-ResultSet Session::RunBlocking(bool named, StatementId id,
-                               const std::string& name,
-                               std::vector<Value> params,
-                               const CallOptions& opts) {
+ResultSet Session::Execute(const PreparedStatement& stmt,
+                           std::vector<Value> params, CallOptions opts) {
+  if (!stmt.valid()) {
+    ResultSet rs;
+    rs.status = Status::InvalidArgument("invalid prepared statement");
+    return rs;
+  }
   const int attempts = retry_enabled_ ? std::max(1, retry_.max_attempts) : 1;
   std::chrono::microseconds backoff = retry_.initial_backoff;
   std::chrono::microseconds budget = retry_.budget;
   for (int attempt = 1;; ++attempt) {
-    Engine::SubmitOptions sub;
-    sub.deadline = opts.deadline;
-    sub.inflight = inflight_;
     // Keep the params for a potential resubmission; the last permitted
     // attempt hands them over without a copy.
     std::vector<Value> p;
@@ -106,9 +103,10 @@ ResultSet Session::RunBlocking(bool named, StatementId id,
     } else {
       p = std::move(params);
     }
-    ResultSet rs =
-        named ? Finish(server_->SubmitNamed(name, std::move(p), std::move(sub)))
-              : Finish(server_->Submit(id, std::move(p), std::move(sub)));
+    ResultSet rs = Finish(SubmitForFuture([&](Engine::CompletionSink sink) {
+      return Submit(stmt, std::move(p), opts, std::move(sink),
+                    /*canceller=*/nullptr);
+    }));
     if (rs.status.code() != StatusCode::kResourceExhausted ||
         attempt >= attempts) {
       // Budget/attempts exhausted: the caller sees the original rejection.
@@ -130,56 +128,65 @@ ResultSet Session::RunBlocking(bool named, StatementId id,
   }
 }
 
-ResultSet Session::Execute(const PreparedStatement& stmt,
-                           std::vector<Value> params, CallOptions opts) {
-  if (!stmt.valid()) {
-    ResultSet rs;
-    rs.status = Status::InvalidArgument("invalid prepared statement");
-    return rs;
-  }
-  return RunBlocking(/*named=*/false, stmt.id(), std::string(),
-                     std::move(params), opts);
-}
-
 ResultSet Session::Execute(const std::string& name, std::vector<Value> params,
                            CallOptions opts) {
-  return RunBlocking(/*named=*/true, 0, name, std::move(params), opts);
+  PreparedStatement stmt;
+  ResultSet rs;
+  rs.status = Prepare(name, &stmt);
+  if (!rs.status.ok()) {
+    ++stats_.statements;
+    return rs;
+  }
+  return Execute(stmt, std::move(params), opts);
 }
 
 AsyncResult Session::ExecuteAsync(const PreparedStatement& stmt,
                                   std::vector<Value> params, CallOptions opts) {
   AsyncResult r;
-  r.server_ = server_;
-  if (!stmt.valid()) {
-    std::promise<ResultSet> promise;
-    ResultSet rs;
-    rs.status = Status::InvalidArgument("invalid prepared statement");
-    promise.set_value(std::move(rs));
-    r.future_ = promise.get_future();
-    return r;
-  }
-  r.cancel_ = std::make_shared<std::atomic<bool>>(false);
-  Engine::SubmitOptions sub;
-  sub.cancel = r.cancel_;
-  sub.deadline = opts.deadline;
-  sub.inflight = inflight_;
-  r.future_ = server_->Submit(stmt.id(), std::move(params), std::move(sub));
-  ++stats_.statements;
+  r.future_ = SubmitForFuture([&](Engine::CompletionSink sink) {
+    return Submit(stmt, std::move(params), opts, std::move(sink),
+                  &r.canceller_);
+  });
   return r;
 }
 
 AsyncResult Session::ExecuteAsync(const std::string& name,
                                   std::vector<Value> params, CallOptions opts) {
   AsyncResult r;
-  r.server_ = server_;
-  r.cancel_ = std::make_shared<std::atomic<bool>>(false);
+  r.future_ = SubmitForFuture([&](Engine::CompletionSink sink) {
+    return Submit(name, std::move(params), opts, std::move(sink),
+                  &r.canceller_);
+  });
+  return r;
+}
+
+Status Session::Submit(const PreparedStatement& stmt, std::vector<Value> params,
+                       const CallOptions& opts, Engine::CompletionSink sink,
+                       CallCanceller* canceller) {
+  if (!stmt.valid()) return Status::InvalidArgument("invalid prepared statement");
   Engine::SubmitOptions sub;
-  sub.cancel = r.cancel_;
   sub.deadline = opts.deadline;
   sub.inflight = inflight_;
-  r.future_ = server_->SubmitNamed(name, std::move(params), std::move(sub));
+  if (canceller != nullptr) {
+    canceller->flag_ = std::make_shared<std::atomic<bool>>(false);
+    canceller->server_ = server_;
+    sub.cancel = canceller->flag_;
+  }
   ++stats_.statements;
-  return r;
+  return server_->Submit(stmt.id(), std::move(params), std::move(sub),
+                         std::move(sink));
+}
+
+Status Session::Submit(const std::string& name, std::vector<Value> params,
+                       const CallOptions& opts, Engine::CompletionSink sink,
+                       CallCanceller* canceller) {
+  PreparedStatement stmt;
+  const Status s = Prepare(name, &stmt);
+  if (!s.ok()) {
+    ++stats_.statements;
+    return s;
+  }
+  return Submit(stmt, std::move(params), opts, std::move(sink), canceller);
 }
 
 }  // namespace api

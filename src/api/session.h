@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/engine.h"
 #include "core/query.h"
 
 namespace shareddb {
@@ -47,7 +48,22 @@ class PreparedStatement {
   bool valid_ = false;
 };
 
-/// Handle to one in-flight asynchronous execution. Move-only.
+/// Best-effort cancellation of one submitted call: a statement not yet
+/// admitted into a batch is drained with an Aborted status when formation
+/// reaches it; once admitted it runs to completion. Thread-safe against a
+/// concurrent wait or completion (a flag store plus a driver nudge). A
+/// default-constructed handle cancels nothing.
+class CallCanceller {
+ public:
+  void Cancel() const;
+
+ private:
+  friend class Session;
+  std::shared_ptr<std::atomic<bool>> flag_;
+  Server* server_ = nullptr;
+};
+
+/// Handle to one in-flight async execution (a future over Submit). Move-only.
 class AsyncResult {
  public:
   AsyncResult() = default;
@@ -81,20 +97,14 @@ class AsyncResult {
   /// the batch the pause is protecting).
   ResultSet GetWithDeadline(std::chrono::steady_clock::time_point deadline);
 
-  /// Best-effort cancel: a statement not yet admitted into a batch is
-  /// drained with an Aborted status when batch formation reaches it; once
-  /// admitted it runs to completion and Get() returns the real result.
-  /// Thread-safe against a CONCURRENT Get()/WaitFor() on the same handle
-  /// (an atomic flag store plus a driver nudge — no handle state is
-  /// mutated), which is what lets one thread cancel a call another thread
-  /// is waiting on (the net front door's event loop relies on this).
-  void Cancel();
+  /// Best-effort cancel (see CallCanceller); thread-safe against a
+  /// CONCURRENT Get()/WaitFor() on the same handle.
+  void Cancel() { canceller_.Cancel(); }
 
  private:
   friend class Session;
   std::future<ResultSet> future_;
-  std::shared_ptr<std::atomic<bool>> cancel_;
-  Server* server_ = nullptr;
+  CallCanceller canceller_;
 };
 
 /// Client-side retry policy for blocking Execute calls. Retries are
@@ -158,6 +168,18 @@ class Session {
   AsyncResult ExecuteAsync(const std::string& name, std::vector<Value> params,
                            CallOptions opts = {});
 
+  /// Push-style execution, the path every Execute is layered on: `sink`
+  /// gets the terminal ResultSet once (see Engine::CompletionSink). A
+  /// synchronous rejection (invalid handle, unknown statement, bad arity,
+  /// full queue, in-flight cap, shut-down server) is returned instead and
+  /// the sink never runs. `canceller` (may be null) receives a cancel handle.
+  Status Submit(const PreparedStatement& stmt, std::vector<Value> params,
+                const CallOptions& opts, Engine::CompletionSink sink,
+                CallCanceller* canceller);
+  Status Submit(const std::string& name, std::vector<Value> params,
+                const CallOptions& opts, Engine::CompletionSink sink,
+                CallCanceller* canceller);
+
   /// Per-session telemetry, accumulated from the ResultSets of blocking
   /// Executes (async results carry their own telemetry).
   struct Stats {
@@ -182,9 +204,6 @@ class Session {
         inflight_(std::make_shared<std::atomic<int64_t>>(0)) {}
 
   ResultSet Finish(std::future<ResultSet> f);
-  /// Blocking-path core: submit (+ retry under the policy) and wait.
-  ResultSet RunBlocking(bool named, StatementId id, const std::string& name,
-                        std::vector<Value> params, const CallOptions& opts);
 
   Server* server_;
   Stats stats_;

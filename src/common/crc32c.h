@@ -1,7 +1,8 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41): the checksum guarding every
-// WAL record. Chosen over CRC32 for its strictly better burst-error
-// detection; software slice-by-one implementation (the WAL is bound by
-// fsync, not by checksumming).
+// WAL record and every wire frame (paid on both ends of each frame). Chosen
+// over CRC32 for its strictly better burst-error detection. Portable
+// software slicing-by-8: eight table lookups per eight input bytes, no
+// hardware dispatch.
 
 #ifndef SHAREDDB_COMMON_CRC32C_H_
 #define SHAREDDB_COMMON_CRC32C_H_

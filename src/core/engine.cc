@@ -79,111 +79,92 @@ Status Engine::Checkpoint(const std::string& path) const {
   return WriteCheckpoint(*plan_->catalog(), path, env);
 }
 
-namespace {
-
-/// A ready future carrying only an error status (invalid submissions never
-/// enter the queue; the error path is ResultSet.status, not an abort).
-std::future<ResultSet> ErrorFuture(Status status) {
-  std::promise<ResultSet> promise;
-  ResultSet rs;
-  rs.status = std::move(status);
-  promise.set_value(std::move(rs));
-  return promise.get_future();
-}
-
-}  // namespace
-
-std::future<ResultSet> Engine::Submit(StatementId statement,
-                                      std::vector<Value> params,
-                                      SubmitOptions opts) {
+Status Engine::Submit(StatementId statement, std::vector<Value> params,
+                      SubmitOptions opts, CompletionSink sink) {
   if (statement >= plan_->num_statements()) {
-    return ErrorFuture(Status::InvalidArgument(
-        "statement id " + std::to_string(statement) + " out of range"));
+    return Status::InvalidArgument("statement id " + std::to_string(statement) +
+                                   " out of range");
   }
   // Arity check up front: binding a missing slot at batch formation would
   // abort the whole heartbeat; a short parameter vector is a client error.
   const StatementDef& def = plan_->statement(statement);
   if (params.size() < def.num_params) {
-    return ErrorFuture(Status::InvalidArgument(
+    return Status::InvalidArgument(
         "statement '" + def.name + "' needs " + std::to_string(def.num_params) +
-        " parameter(s), got " + std::to_string(params.size())));
+        " parameter(s), got " + std::to_string(params.size()));
   }
   Pending p;
   p.statement = statement;
   p.params = std::move(params);
+  p.sink = std::move(sink);
   p.update_count = std::make_unique<uint64_t>(0);
   p.cancel = std::move(opts.cancel);
   p.submit_time = std::chrono::steady_clock::now();
   p.deadline = opts.deadline;
   p.submit_batch = batch_number_.load(std::memory_order_acquire);
-  std::future<ResultSet> f = p.promise.get_future();
-  {
-    // Every overload decision below is synchronous: a rejected caller gets a
-    // ready error future and the lock is never held across a wait, so a
-    // flooded front door can never stall the heartbeat driver.
-    MutexLock lock(&mu_);
-    stat_submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (closed_) {
-      stat_unavailable_.fetch_add(1, std::memory_order_relaxed);
-      return ErrorFuture(
-          Status::Unavailable("engine is shut down; submission refused"));
-    }
-    if (opts.max_inflight > 0 && opts.inflight != nullptr &&
-        opts.inflight->load(std::memory_order_acquire) >=
-            static_cast<int64_t>(opts.max_inflight)) {
-      stat_rejected_.fetch_add(1, std::memory_order_relaxed);
-      return ErrorFuture(Status::ResourceExhausted(
-          "session in-flight cap (" + std::to_string(opts.max_inflight) +
-          ") reached"));
-    }
-    if (opts.max_queue_depth > 0 && pending_.size() >= opts.max_queue_depth) {
-      stat_rejected_.fetch_add(1, std::memory_order_relaxed);
-      return ErrorFuture(Status::ResourceExhausted(
-          "admission queue full (" + std::to_string(pending_.size()) + "/" +
-          std::to_string(opts.max_queue_depth) + " statements pending)"));
-    }
-    if (opts.inflight != nullptr) {
-      p.inflight = opts.inflight;
-      p.inflight->fetch_add(1, std::memory_order_acq_rel);
-    }
-    pending_.push_back(std::move(p));
+  // Every overload decision below is synchronous: a rejected caller hears
+  // back at once and the lock is never held across a wait, so a flooded
+  // front door can never stall the heartbeat driver.
+  MutexLock lock(&mu_);
+  stat_submitted_.fetch_add(1, std::memory_order_relaxed);
+  if (closed_) {
+    stat_unavailable_.fetch_add(1, std::memory_order_relaxed);
+    return Status::Unavailable("engine is shut down; submission refused");
   }
-  return f;
+  if (opts.max_inflight > 0 && opts.inflight != nullptr &&
+      opts.inflight->load(std::memory_order_acquire) >=
+          static_cast<int64_t>(opts.max_inflight)) {
+    stat_rejected_.fetch_add(1, std::memory_order_relaxed);
+    return Status::ResourceExhausted("session in-flight cap (" +
+                                     std::to_string(opts.max_inflight) +
+                                     ") reached");
+  }
+  if (opts.max_queue_depth > 0 && pending_.size() >= opts.max_queue_depth) {
+    stat_rejected_.fetch_add(1, std::memory_order_relaxed);
+    return Status::ResourceExhausted(
+        "admission queue full (" + std::to_string(pending_.size()) + "/" +
+        std::to_string(opts.max_queue_depth) + " statements pending)");
+  }
+  if (opts.inflight != nullptr) {
+    p.inflight = opts.inflight;
+    p.inflight->fetch_add(1, std::memory_order_acq_rel);
+  }
+  pending_.push_back(std::move(p));
+  return Status::OK();
 }
 
 std::future<ResultSet> Engine::Submit(StatementId statement,
                                       std::vector<Value> params,
                                       CancelFlag cancel) {
-  SubmitOptions opts;
-  opts.cancel = std::move(cancel);
-  return Submit(statement, std::move(params), std::move(opts));
-}
-
-std::future<ResultSet> Engine::SubmitNamed(const std::string& name,
-                                           std::vector<Value> params,
-                                           SubmitOptions opts) {
-  const StatementDef* def = plan_->FindStatement(name);
-  if (def == nullptr) {
-    return ErrorFuture(Status::NotFound("unknown statement '" + name + "'"));
-  }
-  return Submit(def->id, std::move(params), std::move(opts));
+  return SubmitForFuture([&](CompletionSink sink) {
+    SubmitOptions opts;
+    opts.cancel = std::move(cancel);
+    return Submit(statement, std::move(params), std::move(opts),
+                  std::move(sink));
+  });
 }
 
 std::future<ResultSet> Engine::SubmitNamed(const std::string& name,
                                            std::vector<Value> params,
                                            CancelFlag cancel) {
-  SubmitOptions opts;
-  opts.cancel = std::move(cancel);
-  return SubmitNamed(name, std::move(params), std::move(opts));
+  const StatementDef* def = plan_->FindStatement(name);
+  return SubmitForFuture([&](CompletionSink sink) {
+    if (def == nullptr) {
+      return Status::NotFound("unknown statement '" + name + "'");
+    }
+    SubmitOptions opts;
+    opts.cancel = std::move(cancel);
+    return Submit(def->id, std::move(params), std::move(opts), std::move(sink));
+  });
 }
 
 void Engine::Fulfill(Pending* p, ResultSet rs) {
-  // Release the gauge BEFORE the promise: a client woken by the result can
+  // Release the gauge BEFORE the sink: a client woken by the result can
   // immediately submit again without tripping its own in-flight cap.
   if (p->inflight != nullptr) {
     p->inflight->fetch_sub(1, std::memory_order_acq_rel);
   }
-  p->promise.set_value(std::move(rs));
+  p->sink(std::move(rs));
 }
 
 size_t Engine::CloseSubmissions(Status status) {
@@ -403,7 +384,7 @@ BatchReport Engine::RunOneBatch(size_t max_admissions) {
     }
   }
 
-  // --- Γ: route results, fulfill futures -------------------------------------
+  // --- Γ: route results, fulfill calls ---------------------------------------
   const auto t1 = std::chrono::steady_clock::now();
   report.exec_ms =
       std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(t1 - t0)
@@ -440,7 +421,7 @@ BatchReport Engine::RunOneBatch(size_t max_admissions) {
   // Γ result materialization: RowsFor() copies every subscriber's tuples out
   // of the shared root batches — the dominant Γ cost — so it fans out across
   // the pool. Tasks touch disjoint routed[] slots and only read the shared
-  // outputs; future FULFILLMENT stays ordered on this thread below.
+  // outputs; FULFILLMENT (the sinks) stays ordered on this thread below.
   std::vector<ResultSet> routed(routings.size());
   const auto route_one = [&](size_t ri) {
     const QueryRouting& r = routings[ri];

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -126,8 +127,8 @@ class Engine {
   using CancelFlag = std::shared_ptr<std::atomic<bool>>;
 
   /// Per-submission overload-protection knobs. Everything here resolves
-  /// SYNCHRONOUSLY at Submit (a full queue rejects with a ready
-  /// kResourceExhausted future — the caller is never blocked) or at batch
+  /// SYNCHRONOUSLY at Submit (a full queue rejects at once with
+  /// kResourceExhausted — the caller is never blocked) or at batch
   /// formation (an expired deadline sheds with kDeadlineExceeded instead of
   /// executing dead work).
   struct SubmitOptions {
@@ -146,31 +147,33 @@ class Engine {
     size_t max_inflight = 0;
   };
 
-  /// Enqueues a statement instance for the next batch. Submitting is
-  /// thread-safe (clients submit while a batch executes; that is the
-  /// heartbeat model). An out-of-range id yields a ready future whose
-  /// ResultSet carries an InvalidArgument status; overload rejections a
-  /// ready kResourceExhausted; a closed engine a ready kUnavailable.
-  std::future<ResultSet> Submit(StatementId statement, std::vector<Value> params,
-                                SubmitOptions opts);
+  /// Gets a queued statement's terminal ResultSet exactly once, on the
+  /// fulfilling thread (RunOneBatch's or CloseSubmissions' caller), with no
+  /// engine lock held. Must not block.
+  using CompletionSink = std::function<void(ResultSet)>;
+
+  /// Enqueues a statement instance for the next batch; `sink` receives its
+  /// result. Thread-safe (clients submit while a batch executes; that is
+  /// the heartbeat model). A synchronous rejection is returned instead and
+  /// the sink never runs: InvalidArgument (bad id or arity),
+  /// kResourceExhausted (queue / in-flight caps), kUnavailable (closed).
+  Status Submit(StatementId statement, std::vector<Value> params,
+                SubmitOptions opts, CompletionSink sink);
+
+  /// Future adapters over the sink path (see SubmitForFuture below); an
+  /// unknown name is a NotFound result.
   std::future<ResultSet> Submit(StatementId statement, std::vector<Value> params,
                                 CancelFlag cancel = nullptr);
-
-  /// Submit by statement name. An unknown name yields a ready future whose
-  /// ResultSet carries a NotFound status (no abort).
-  std::future<ResultSet> SubmitNamed(const std::string& name,
-                                     std::vector<Value> params,
-                                     SubmitOptions opts);
   std::future<ResultSet> SubmitNamed(const std::string& name,
                                      std::vector<Value> params,
                                      CancelFlag cancel = nullptr);
 
   /// Shutdown drain: atomically stops accepting submissions (subsequent
-  /// Submits yield ready kUnavailable futures) and fulfills every
-  /// queued-but-unadmitted statement with `status` — no future is ever left
-  /// to dangle on a broken promise. Returns the number drained. The caller
-  /// must ensure no RunOneBatch is executing concurrently (api::Server joins
-  /// its driver first).
+  /// Submits are rejected with kUnavailable) and fulfills every
+  /// queued-but-unadmitted statement with `status` — no sink is ever left
+  /// uncalled. Returns the number drained. The caller must ensure no
+  /// RunOneBatch is executing concurrently (api::Server joins its driver
+  /// first).
   size_t CloseSubmissions(Status status);
   bool submissions_closed() const {
     MutexLock lock(&mu_);
@@ -199,7 +202,7 @@ class Engine {
   /// Runs one heartbeat: drains the queue (up to `max_admissions`
   /// statements; 0 = all — the overflow spills to the next generation in
   /// FIFO order), executes the batch through the global plan, commits, and
-  /// fulfills the futures. Returns the report. A batch with no pending
+  /// runs the calls' sinks. Returns the report. A batch with no pending
   /// statements is a no-op heartbeat.
   ///
   /// This is the low-level testing/simulation API: calls must be serialized
@@ -263,7 +266,7 @@ class Engine {
   struct Pending {
     StatementId statement;
     std::vector<Value> params;
-    std::promise<ResultSet> promise;
+    CompletionSink sink;
     std::unique_ptr<uint64_t> update_count;  // stable address for applied_out
     CancelFlag cancel;                       // may be null
     std::chrono::steady_clock::time_point submit_time;
@@ -273,7 +276,7 @@ class Engine {
   };
 
   void InstallWal();
-  /// Decrements the caller's in-flight gauge, then fulfills the promise.
+  /// Decrements the caller's in-flight gauge, then runs the sink.
   static void Fulfill(Pending* p, ResultSet rs);
 
   std::unique_ptr<GlobalPlan> plan_;
@@ -301,6 +304,22 @@ class Engine {
   BatchReport last_report_ SDB_GUARDED_BY(mu_);
   Status wal_status_ SDB_GUARDED_BY(mu_);  // first WAL error, latched
 };
+
+/// Future adapter over the sink path: `submit(sink)` queues one call or
+/// returns its synchronous rejection, which becomes a ready future.
+template <typename SubmitFn>
+std::future<ResultSet> SubmitForFuture(SubmitFn&& submit) {
+  auto promise = std::make_shared<std::promise<ResultSet>>();
+  std::future<ResultSet> f = promise->get_future();
+  Status s = submit(Engine::CompletionSink(
+      [promise](ResultSet rs) { promise->set_value(std::move(rs)); }));
+  if (!s.ok()) {
+    ResultSet rs;
+    rs.status = std::move(s);
+    promise->set_value(std::move(rs));
+  }
+  return f;
+}
 
 /// Logs every table mutation into the WAL (installed by the engine).
 class WalTableLogger : public TableWriteObserver {

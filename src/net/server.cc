@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -50,33 +49,23 @@ ResultSet OkAck() {
 
 }  // namespace
 
-/// One event-loop thread + its completion reaper. Connection state (the
-/// `conns` map and everything inside a Conn) is owned EXCLUSIVELY by the
-/// loop thread; the only cross-thread traffic is three guarded queues
-/// (incoming fds from the acceptor, completions from the reaper, pending
-/// waits to the reaper) plus eventfd wakeups.
+/// One event-loop thread. Connection state (the `conns` map and everything
+/// inside a Conn) is owned EXCLUSIVELY by the loop thread; the only
+/// cross-thread traffic is one guarded mailbox (incoming fds from the
+/// acceptor, completions pushed by the engine's sinks) plus eventfd wakeups.
 struct Server::Worker {
-  /// One future the reaper is blocking on for the loop thread.
-  struct PendingWait {
-    uint64_t conn_id = 0;
-    uint64_t request_id = 0;
-    bool is_async = false;  // true: fulfills an async handle, not a request
-    uint64_t handle = 0;
-    std::shared_ptr<api::AsyncResult> ar;
-  };
-
-  /// A fulfilled future on its way back to the loop thread.
+  /// A fulfilled call on its way back to the loop thread.
   struct Completion {
     uint64_t conn_id = 0;
     uint64_t request_id = 0;
-    bool is_async = false;
+    bool is_async = false;  // true: fulfills an async handle, not a request
     uint64_t handle = 0;
     ResultSet rs;
   };
 
   /// Server-side state of one EXECUTE_ASYNC handle.
   struct AsyncEntry {
-    std::shared_ptr<api::AsyncResult> ar;  // null once done
+    api::CallCanceller canceller;
     bool done = false;
     bool discard = false;        // abandoned by the client: free on landing
     bool fetch_waiting = false;  // a FETCH(wait=1) response is deferred
@@ -90,6 +79,7 @@ struct Server::Worker {
     bool got_hello = false;
     bool close_after_flush = false;
     bool overflowed = false;
+    bool flush_queued = false;  // listed in the loop's `touched`
     std::string rbuf;
     std::string wbuf;   // woff = sent prefix; frames are appended whole
     size_t woff = 0;
@@ -99,9 +89,9 @@ struct Server::Worker {
     std::unordered_map<uint32_t, api::PreparedStatement> stmts;
     uint64_t next_handle = 1;
     std::unordered_map<uint64_t, AsyncEntry> asyncs;
-    /// Blocking EXECUTEs parked in the reaper, by request id (for cancel
+    /// Blocking EXECUTEs the engine still owes, by request id (for cancel
     /// on close and erase on delivery).
-    std::unordered_map<uint64_t, std::shared_ptr<api::AsyncResult>> execs;
+    std::unordered_map<uint64_t, api::CallCanceller> execs;
   };
 
   Server* srv = nullptr;
@@ -110,21 +100,21 @@ struct Server::Worker {
 
   // unguarded: loop-thread-only (connections are pinned to one worker).
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns;
+  // unguarded: loop-thread-only; connections with replies to flush once
+  // this round's completions are applied.
+  std::vector<uint64_t> touched;
 
   Mutex mu{"net.worker"};
   std::vector<int> incoming SDB_GUARDED_BY(mu);
   std::vector<Completion> completions SDB_GUARDED_BY(mu);
   bool stop SDB_GUARDED_BY(mu) = false;
-
-  // Never nested with mu: the reaper posts completions only after
-  // releasing reaper_mu, and the loop thread enqueues waits lock-by-lock.
-  Mutex reaper_mu{"net.reaper"};
-  CondVar reaper_cv;
-  std::deque<PendingWait> pending SDB_GUARDED_BY(reaper_mu);
-  bool reaper_stop SDB_GUARDED_BY(reaper_mu) = false;
+  /// Calls this loop submitted whose sink has not run yet: each such sink
+  /// still points at this Worker. Raised by the loop thread, lowered under
+  /// `mu` by the sinks; Shutdown waits on `owed_cv` for 0.
+  std::atomic<int64_t> owed{0};
+  CondVar owed_cv;
 
   std::thread loop_thread;
-  std::thread reaper_thread;
 
   void Wake() { WriteEventfd(wake_fd); }
 
@@ -152,12 +142,12 @@ struct Server::Worker {
   }
 
   /// Cancels everything the engine still owes this connection and marks
-  /// async entries discarded so the reaper's completions get dropped.
+  /// async entries discarded so their completions get dropped.
   void CancelConnCalls(Conn* c) {
-    for (auto& [rid, ar] : c->execs) ar->Cancel();
+    for (auto& [rid, canceller] : c->execs) canceller.Cancel();
     c->execs.clear();
     for (auto& [h, e] : c->asyncs) {
-      if (e.ar && !e.done) e.ar->Cancel();
+      if (!e.done) e.canceller.Cancel();
       e.discard = true;
     }
   }
@@ -173,9 +163,14 @@ struct Server::Worker {
 
   void AppendFrame(Conn* c, const std::string& frame) {
     if (c->overflowed) return;  // already emitted the grace ERROR
-    const size_t queued = c->wbuf.size() - c->woff;
-    if (queued + frame.size() >
-        srv->options_.max_write_buffer + kFrameHeaderBytes) {
+    const size_t cap = srv->options_.max_write_buffer + kFrameHeaderBytes;
+    if (c->wbuf.size() - c->woff + frame.size() > cap) {
+      // A round's replies are buffered before its flush: let the socket
+      // take what it can before calling the reader slow. A hard error is
+      // left for that flush to find.
+      (void)SendBuffered(c);
+    }
+    if (c->wbuf.size() - c->woff + frame.size() > cap) {
       // Slow reader: one grace ERROR so the peer learns WHY, then close.
       // Frames already buffered stay intact — nothing is ever torn.
       c->overflowed = true;
@@ -211,9 +206,8 @@ struct Server::Worker {
     for (const std::string& f : frames) AppendFrame(c, f);
   }
 
-  /// Writes until drained or EAGAIN. Returns false when the connection was
-  /// closed (write error, or close_after_flush and the buffer drained).
-  bool FlushWrites(Conn* c) {
+  /// Sends buffered bytes until drained or EAGAIN; false on a hard error.
+  bool SendBuffered(Conn* c) {
     while (c->woff < c->wbuf.size()) {
       const ssize_t n = send(c->fd, c->wbuf.data() + c->woff,
                              c->wbuf.size() - c->woff, MSG_NOSIGNAL);
@@ -224,17 +218,21 @@ struct Server::Worker {
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-      CloseConn(c);
-      return false;
+      return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
     }
     c->wbuf.clear();
     c->woff = 0;
-    if (c->close_after_flush) {
-      CloseConn(c);
-      return false;
-    }
     return true;
+  }
+
+  /// Writes until drained or EAGAIN. Returns false when the connection was
+  /// closed (write error, or close_after_flush and the buffer drained).
+  bool FlushWrites(Conn* c) {
+    if (SendBuffered(c) && (!c->wbuf.empty() || !c->close_after_flush)) {
+      return true;
+    }
+    CloseConn(c);
+    return false;
   }
 
   void MarkProtocolError(Conn* c, uint64_t request_id, const char* what) {
@@ -262,10 +260,8 @@ struct Server::Worker {
       opts.deadline = std::chrono::steady_clock::now() +
                       std::chrono::milliseconds(m.deadline_ms);
     }
-    api::AsyncResult ar;
-    if (m.by_name) {
-      ar = c->session->ExecuteAsync(m.name, std::move(m.params), opts);
-    } else {
+    const api::PreparedStatement* ps = nullptr;
+    if (!m.by_name) {
       auto it = c->stmts.find(m.statement_id);
       if (it == c->stmts.end()) {
         SendError(c, f.request_id,
@@ -273,34 +269,38 @@ struct Server::Worker {
                                    "connection"));
         return;
       }
-      ar = c->session->ExecuteAsync(it->second, std::move(m.params), opts);
+      ps = &it->second;
     }
-    auto sar = std::make_shared<api::AsyncResult>(std::move(ar));
-    // Already-ready futures (admission rejections, shutdown refusals,
-    // invalid statements) are answered INLINE — a flooded or draining
-    // server responds synchronously, it never parks a rejection behind the
-    // reaper.
-    const bool ready_now = sar->WaitFor(std::chrono::milliseconds(0));
+    const uint64_t handle = is_async ? c->next_handle++ : 0;
+    Engine::CompletionSink sink = [this, conn_id = c->id, rid = f.request_id,
+                                   is_async, handle](ResultSet rs) {
+      Post(Completion{conn_id, rid, is_async, handle, std::move(rs)});
+    };
+    api::CallCanceller canceller;
+    owed.fetch_add(1);
+    const Status s =
+        ps != nullptr ? c->session->Submit(*ps, std::move(m.params), opts,
+                                           std::move(sink), &canceller)
+                      : c->session->Submit(m.name, std::move(m.params), opts,
+                                           std::move(sink), &canceller);
+    // Synchronous rejections never reach the sink: they are answered
+    // INLINE, so a flooded or draining server responds at once.
+    if (!s.ok()) owed.fetch_sub(1);
     if (!is_async) {
-      if (ready_now) {
-        SendResultSet(c, f.request_id, sar->Get(), /*ready=*/true, 0);
-        return;
+      if (!s.ok()) {
+        SendError(c, f.request_id, s);
+      } else {
+        c->execs.emplace(f.request_id, std::move(canceller));
       }
-      c->execs.emplace(f.request_id, sar);
-      EnqueueWait({c->id, f.request_id, /*is_async=*/false, 0, sar});
       return;
     }
-    const uint64_t handle = c->next_handle++;
     AsyncEntry& entry = c->asyncs[handle];
-    entry.ar = sar;
+    entry.canceller = std::move(canceller);
     // Ack first so the client always owns the handle before its result.
     SendResultSet(c, f.request_id, OkAck(), /*ready=*/false, handle);
-    if (ready_now) {
+    if (!s.ok()) {
       entry.done = true;
-      entry.result = sar->Get();
-      entry.ar.reset();
-    } else {
-      EnqueueWait({c->id, f.request_id, /*is_async=*/true, handle, sar});
+      entry.result.status = s;
     }
   }
 
@@ -344,7 +344,7 @@ struct Server::Worker {
     auto it = c->asyncs.find(m.handle);
     if (it != c->asyncs.end()) {
       AsyncEntry& e = it->second;
-      if (e.ar && !e.done) e.ar->Cancel();
+      if (!e.done) e.canceller.Cancel();
       if (m.discard) {
         if (e.done) {
           c->asyncs.erase(it);
@@ -430,22 +430,24 @@ struct Server::Worker {
     }
   }
 
-  /// Edge-triggered read: drains the socket up to EAGAIN or EOF, decodes
-  /// and dispatches every complete frame, then flushes responses. Frames
-  /// that arrived before the peer's EOF are answered; the EOF then acts as
-  /// GOODBYE. A hard read error or a hang-up (`hangup`: EPOLLERR/EPOLLHUP)
-  /// still decodes what was read, so damaged frames are counted, but closes
+  /// Edge-triggered read: reads chunks up to EAGAIN or EOF, decoding after
+  /// each one, then flushes responses; stops reading once the connection is
+  /// closing (nothing after that would be decoded). Frames that arrived
+  /// before the peer's EOF are answered; the EOF then acts as GOODBYE. A
+  /// hard read error or a hang-up (`hangup`: EPOLLERR/EPOLLHUP) still
+  /// decodes what was read, so damaged frames are counted, but closes
   /// without flushing: the peer cannot receive the replies. Returns false
   /// when the connection was closed (`c` is then dangling).
   bool ReadConn(Conn* c, bool hangup) {
-    char buf[65536];
+    char buf[kReadChunkBytes];
     bool eof = false;
-    for (;;) {
+    while (!c->close_after_flush) {
       const ssize_t n = read(c->fd, buf, sizeof(buf));
       if (n > 0) {
         c->rbuf.append(buf, static_cast<size_t>(n));
         srv->bytes_in_.fetch_add(static_cast<uint64_t>(n),
                                  std::memory_order_relaxed);
+        DecodeFrames(c);
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
@@ -454,8 +456,18 @@ struct Server::Worker {
       eof = true;
       break;
     }
-    // Walk the buffer by offset and erase the decoded prefix once: erasing
-    // frame by frame is quadratic in the bytes one drain can buffer.
+    if (hangup) {
+      CloseConn(c);  // pendings are cancelled
+      return false;
+    }
+    if (eof) c->close_after_flush = true;
+    return FlushWrites(c);
+  }
+
+  /// Dispatches every complete frame in `rbuf` until a partial one or a
+  /// close. Walks by offset and erases the decoded prefix once: erasing
+  /// frame by frame is quadratic in the bytes one chunk can hold.
+  void DecodeFrames(Conn* c) {
     size_t off = 0;
     while (!c->close_after_flush) {
       Frame f;
@@ -479,32 +491,38 @@ struct Server::Worker {
       break;
     }
     c->rbuf.erase(0, off);
-    if (hangup) {
-      CloseConn(c);  // pendings are cancelled
-      return false;
-    }
-    if (eof) c->close_after_flush = true;
-    return FlushWrites(c);
   }
 
-  // --- reaper handoff --------------------------------------------------------
+  // --- completions ------------------------------------------------------------
 
-  void EnqueueWait(PendingWait w) {
-    {
-      MutexLock lock(&reaper_mu);
-      pending.push_back(std::move(w));
-    }
-    reaper_cv.NotifyOne();
+  /// Engine sink, on the fulfilling thread: queues one completion and wakes
+  /// the loop only when the queue goes from empty to non-empty, so a whole
+  /// batch costs the loop one wakeup. The eventfd write and the `owed`
+  /// decrement happen under `mu`, so once Shutdown sees owed == 0 no sink
+  /// touches this Worker again.
+  void Post(Completion comp) {
+    MutexLock lock(&mu);
+    if (completions.empty()) Wake();
+    completions.push_back(std::move(comp));
+    if (owed.fetch_sub(1) == 1) owed_cv.NotifyAll();
   }
 
-  /// Loop thread: applies one fulfilled future to its connection.
+  /// Queues `c` for the once-per-round flush of applied completions.
+  void Touch(Conn* c) {
+    if (c->flush_queued) return;
+    c->flush_queued = true;
+    touched.push_back(c->id);
+  }
+
+  /// Loop thread: applies one completion to its connection; the reply is
+  /// flushed with the rest of the round's (see Touch).
   void ApplyCompletion(Completion comp) {
     Conn* c = Find(comp.conn_id);
     if (c == nullptr) return;  // connection died first; result dropped
     if (!comp.is_async) {
       c->execs.erase(comp.request_id);
       SendResultSet(c, comp.request_id, comp.rs, /*ready=*/true, 0);
-      (void)FlushWrites(c);
+      Touch(c);
       return;
     }
     auto it = c->asyncs.find(comp.handle);
@@ -512,94 +530,23 @@ struct Server::Worker {
     AsyncEntry& e = it->second;
     e.done = true;
     e.result = std::move(comp.rs);
-    e.ar.reset();
     if (e.discard) {
       // A pipelining client can park a FETCH(wait) and then CANCEL(discard)
       // the same handle; the parked request id must still get an answer or
       // that client hangs forever.
-      const bool parked = e.fetch_waiting;
-      if (parked) {
+      if (e.fetch_waiting) {
         SendError(c, e.fetch_request_id,
                   Status::Aborted("async handle was cancelled and discarded"));
+        Touch(c);
       }
       c->asyncs.erase(it);
-      if (parked) (void)FlushWrites(c);
       return;
     }
     if (e.fetch_waiting) {
-      const uint64_t rid = e.fetch_request_id;
-      SendResultSet(c, rid, e.result, /*ready=*/true, comp.handle);
+      SendResultSet(c, e.fetch_request_id, e.result, /*ready=*/true,
+                    comp.handle);
       c->asyncs.erase(it);
-      (void)FlushWrites(c);
-    }
-  }
-
-  /// Reaper thread: fulfills one wait and wakes the loop thread.
-  void Deliver(PendingWait w) {
-    Completion comp;
-    comp.conn_id = w.conn_id;
-    comp.request_id = w.request_id;
-    comp.is_async = w.is_async;
-    comp.handle = w.handle;
-    comp.rs = w.ar->Get();
-    {
-      MutexLock lock(&mu);
-      completions.push_back(std::move(comp));
-    }
-    Wake();
-  }
-
-  void ReaperLoop() {
-    for (;;) {
-      PendingWait ready_w;
-      std::shared_ptr<api::AsyncResult> head;
-      int state;  // 0 = deliver ready_w, 1 = bounded-wait on head, 2 = stop
-      {
-        MutexLock lock(&reaper_mu);
-        while (pending.empty() && !reaper_stop) reaper_cv.Wait(&reaper_mu);
-        if (reaper_stop) {
-          state = 2;
-        } else {
-          // Ready-first scan beats FIFO head-of-line blocking: a call that
-          // completed out of order is delivered immediately.
-          size_t idx = pending.size();
-          for (size_t i = 0; i < pending.size(); ++i) {
-            if (pending[i].ar->WaitFor(std::chrono::milliseconds(0))) {
-              idx = i;
-              break;
-            }
-          }
-          if (idx < pending.size()) {
-            ready_w = std::move(pending[idx]);
-            pending.erase(pending.begin() +
-                          static_cast<ptrdiff_t>(idx));
-            state = 0;
-          } else {
-            head = pending.front().ar;
-            state = 1;
-          }
-        }
-      }
-      if (state == 2) break;
-      if (state == 1) {
-        // Bounded head wait, then rescan — keeps the stop latency and the
-        // out-of-order delivery latency both at ~1ms worst case.
-        (void)head->WaitFor(std::chrono::milliseconds(1));
-        continue;
-      }
-      Deliver(std::move(ready_w));
-    }
-    // Stop drain: cancel whatever the engine still owes and wait it out so
-    // no future outlives the server (requires a running or shut-down api
-    // driver — see the class comment).
-    std::deque<PendingWait> left;
-    {
-      MutexLock lock(&reaper_mu);
-      left.swap(pending);
-    }
-    for (PendingWait& w : left) {
-      w.ar->Cancel();
-      (void)w.ar->Get();  // result intentionally dropped: conns are gone
+      Touch(c);
     }
   }
 
@@ -645,20 +592,20 @@ struct Server::Worker {
       }
       for (int fd : newfds) AddConn(fd, next_conn_id++);
       for (Completion& comp : comps) ApplyCompletion(std::move(comp));
+      for (uint64_t id : touched) {
+        Conn* c = Find(id);
+        if (c == nullptr) continue;
+        c->flush_queued = false;
+        (void)FlushWrites(c);
+      }
+      touched.clear();
       if (stop_now) break;
     }
     // Teardown: cancel what the engine owes, push out what the sockets
     // will take without blocking, close everything.
     for (auto& [id, c] : conns) {
       CancelConnCalls(c.get());
-      while (c->woff < c->wbuf.size()) {
-        const ssize_t n = send(c->fd, c->wbuf.data() + c->woff,
-                               c->wbuf.size() - c->woff, MSG_NOSIGNAL);
-        if (n <= 0) break;
-        c->woff += static_cast<size_t>(n);
-        srv->bytes_out_.fetch_add(static_cast<uint64_t>(n),
-                                  std::memory_order_relaxed);
-      }
+      (void)SendBuffered(c.get());
       close(c->fd);
       srv->connections_closed_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -742,7 +689,6 @@ Status Server::Start() {
   for (auto& w : workers_) {
     Worker* wp = w.get();
     w->loop_thread = std::thread([wp] { wp->Loop(); });
-    w->reaper_thread = std::thread([wp] { wp->ReaperLoop(); });
   }
   acceptor_ = std::thread([this] { AcceptorLoop(); });
   started_ = true;
@@ -800,9 +746,11 @@ void Server::Shutdown() {
     shutdown_ = true;
   }
   // Order matters: stop taking connections, then the event loops (which
-  // cancel + close their connections), then the reapers (which drain every
-  // future the engine still owes). fds close only after every join so the
-  // reapers can still write completion wakeups.
+  // cancel + close their connections), then wait until the engine owes each
+  // loop nothing: every outstanding sink points at its Worker, so nothing is
+  // freed before the last one has run (this needs a running or shut-down
+  // api driver to drain the cancelled calls). fds close only after that so
+  // late sinks can still write their wakeups.
   acceptor_stop_.store(true, std::memory_order_release);
   WriteEventfd(accept_wake_fd_);
   acceptor_.join();
@@ -815,13 +763,11 @@ void Server::Shutdown() {
   }
   for (auto& w : workers_) w->loop_thread.join();
   for (auto& w : workers_) {
-    {
-      MutexLock lock(&w->reaper_mu);
-      w->reaper_stop = true;
+    MutexLock lock(&w->mu);
+    while (w->owed.load() > 0) {
+      w->owed_cv.Wait(&w->mu);
     }
-    w->reaper_cv.NotifyAll();
   }
-  for (auto& w : workers_) w->reaper_thread.join();
   for (auto& w : workers_) {
     close(w->epfd);
     close(w->wake_fd);

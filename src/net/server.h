@@ -14,19 +14,22 @@
 //     round-robin through a guarded handoff queue + eventfd wake.
 //   * worker[i]    — owns its connections EXCLUSIVELY (single-threaded
 //     connection state, no per-connection locks): reads frames, dispatches
-//     through the connection's Session, writes responses. Submissions whose
-//     future is already ready (synchronous rejections, invalid statements)
-//     are answered inline without touching the reaper.
-//   * reaper[i]    — worker i's completion pump: blocks on the pending
-//     futures (ready-first scan, bounded head wait) and posts fulfilled
-//     results back to the worker through a guarded queue + eventfd.
+//     through the connection's Session, writes responses. Synchronous
+//     rejections (admission caps, shutdown refusals, invalid statements)
+//     are answered inline; every other EXECUTE carries a completion sink
+//     that the engine runs at fulfilment (on the heartbeat thread). It
+//     queues the result for worker i and writes its eventfd only when the
+//     queue was empty; the loop applies the whole queue, then flushes each
+//     touched connection once: one wakeup and one send() per connection
+//     per batch, not per statement.
 //
-// Backpressure is bounded end to end, matching PR 7: the read buffer is
-// capped by the frame-payload cap (a hostile length is rejected after 8
-// bytes), the write buffer has a hard cap — a slow reader that lets
-// max_write_buffer bytes pile up gets one final kResourceExhausted ERROR
-// frame and the socket closes; nothing queues without bound. Oversized or
-// checksum-damaged frames get a typed ERROR then close.
+// Backpressure is bounded end to end: the read buffer holds at most one
+// partial frame plus one read chunk (frames are decoded after every chunk,
+// a hostile length is rejected after 8 bytes, and nothing is read once a
+// connection is closing), the write buffer has a hard cap — a slow reader
+// that lets max_write_buffer bytes pile up gets one final kResourceExhausted
+// ERROR frame and the socket closes; nothing queues without bound. Oversized
+// or checksum-damaged frames get a typed ERROR then close.
 //
 // Half-close: every complete frame that arrives before the peer's EOF is
 // decoded and answered, however the bytes and the FIN split across reads
@@ -41,8 +44,9 @@
 //
 // Lifecycle: construct over a RUNNING api::Server, Start(), Shutdown()
 // (idempotent; also run by the destructor) BEFORE the api::Server is
-// destroyed, and never while the api driver is paused with calls in flight
-// (the reaper must be able to drain them).
+// destroyed, and never while the api driver is paused with calls in flight:
+// Shutdown() waits until the engine has run the sink of every call the
+// workers submitted, so the driver must be able to drain them.
 
 #ifndef SHAREDDB_NET_SERVER_H_
 #define SHAREDDB_NET_SERVER_H_
@@ -61,14 +65,18 @@
 namespace shareddb {
 namespace net {
 
+/// Bytes per socket read(); frames are decoded after each chunk.
+constexpr size_t kReadChunkBytes = 64u << 10;
+
 struct NetServerOptions {
   /// Bind address. Tests and loopback benches use the default.
   std::string host = "127.0.0.1";
   /// 0 = ephemeral (read the bound port back with port()).
   uint16_t port = 0;
-  /// Worker event loops (each with its own epoll set + completion reaper).
+  /// Worker event loops (each with its own epoll set + completion queue).
   int num_workers = 2;
-  /// Per-frame payload cap; also bounds the per-connection read buffer.
+  /// Per-frame payload cap; with kReadChunkBytes it bounds the
+  /// per-connection read buffer.
   size_t max_frame_bytes = kDefaultMaxPayload;
   /// Slow-reader cap: buffered-but-unsent response bytes above this mark
   /// the connection overflowed — one final ERROR frame, then close.
@@ -108,8 +116,9 @@ class Server {
   Status Start();
 
   /// Stops accepting, cancels in-flight calls (best effort), flushes what
-  /// the sockets will take without blocking, closes every connection and
-  /// joins all threads. Idempotent.
+  /// the sockets will take without blocking, closes every connection, joins
+  /// all threads and waits for the engine to complete every call the
+  /// workers submitted. Idempotent.
   void Shutdown();
 
   /// The bound port (valid after Start(); ephemeral requests resolve here).

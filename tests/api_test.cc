@@ -85,6 +85,78 @@ TEST_F(ApiFixture, BlockingExecuteRidesTheDriver) {
   EXPECT_EQ(session->stats().statements, 1u);
 }
 
+// Session::Submit is the push path under every Execute: a queued call's
+// sink runs exactly once (here: admitted, cancelled, and drained by
+// Shutdown), and a synchronous rejection is returned without running it.
+TEST_F(ApiFixture, SubmitSinkFiresOncePerQueuedCall) {
+  Engine engine(BuildPlan());
+  api::ServerOptions opts;
+  opts.start_paused = true;
+  opts.max_queue_depth = 3;
+  api::Server server(&engine, opts);
+  auto session = server.OpenSession();
+  api::PreparedStatement stmt;
+  ASSERT_TRUE(session->Prepare("user_by_id", &stmt).ok());
+
+  std::vector<int> fired(3, 0);
+  std::vector<StatusCode> codes(3, StatusCode::kOk);
+  int rejected_fired = 0;
+  const auto sink_for = [&](size_t i) -> Engine::CompletionSink {
+    return [&fired, &codes, i](ResultSet rs) {
+      ++fired[i];
+      codes[i] = rs.status.code();
+    };
+  };
+  const Engine::CompletionSink rejected_sink = [&](ResultSet) {
+    ++rejected_fired;
+  };
+
+  api::CallCanceller c0;
+  api::CallCanceller c1;
+  ASSERT_TRUE(
+      session->Submit(stmt, {Value::Int(1)}, {}, sink_for(0), &c0).ok());
+  ASSERT_TRUE(session->Submit("user_by_id", {Value::Int(2)}, {}, sink_for(1),
+                              &c1)
+                  .ok());
+  c1.Cancel();
+  const BatchReport r = server.StepBatch();
+  EXPECT_EQ(r.num_admitted, 1u);
+  EXPECT_EQ(r.num_cancelled, 1u);
+  ASSERT_TRUE(
+      session->Submit(stmt, {Value::Int(3)}, {}, sink_for(2), nullptr).ok());
+
+  // Synchronous rejections: invalid handle, unknown name, bad arity, full
+  // queue.
+  EXPECT_EQ(session->Submit(api::PreparedStatement(), {Value::Int(1)}, {},
+                            rejected_sink, nullptr)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session->Submit("missing", {}, {}, rejected_sink, nullptr).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(session->Submit(stmt, {}, {}, rejected_sink, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(session
+                    ->Submit(stmt, {Value::Int(i)}, {},
+                             [](ResultSet) {}, nullptr)
+                    .ok());
+  }
+  EXPECT_EQ(session->Submit(stmt, {Value::Int(9)}, {}, rejected_sink, nullptr)
+                .code(),
+            StatusCode::kResourceExhausted);
+
+  server.Shutdown();  // drains the queued calls through their sinks
+  EXPECT_EQ(session->Submit(stmt, {Value::Int(1)}, {}, rejected_sink, nullptr)
+                .code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(fired, (std::vector<int>{1, 1, 1}));
+  EXPECT_EQ(codes[0], StatusCode::kOk);
+  EXPECT_EQ(codes[1], StatusCode::kAborted);
+  EXPECT_EQ(codes[2], StatusCode::kUnavailable);
+  EXPECT_EQ(rejected_fired, 0);
+  EXPECT_EQ(session->inflight(), 0);
+}
+
 TEST_F(ApiFixture, PausedServerStepsDeterministicBatches) {
   Engine engine(BuildPlan());
   api::ServerOptions opts;

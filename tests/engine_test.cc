@@ -293,6 +293,71 @@ TEST_F(EngineFixture, CancelledBeforeAdmissionIsAborted) {
   EXPECT_TRUE(f2.get().status.ok());
 }
 
+// The completion sink is the engine's one fulfilment path: every queued
+// call's sink runs exactly once, whether the call is admitted, cancelled,
+// shed at formation or drained by CloseSubmissions. A synchronous rejection
+// comes back as the Submit status and never runs the sink.
+TEST_F(EngineFixture, SinkFiresExactlyOncePerQueuedCall) {
+  Engine engine(BuildPlan());
+  const StatementId by_name = engine.plan().FindStatement("user_by_name")->id;
+  std::vector<int> fired(4, 0);
+  std::vector<StatusCode> codes(4, StatusCode::kOk);
+  int rejected_fired = 0;
+  const auto sink_for = [&](size_t i) -> Engine::CompletionSink {
+    return [&fired, &codes, i](ResultSet rs) {
+      ++fired[i];
+      codes[i] = rs.status.code();
+    };
+  };
+  const Engine::CompletionSink rejected_sink = [&](ResultSet) {
+    ++rejected_fired;
+  };
+  const auto params = [] { return std::vector<Value>{Value::Str("user1")}; };
+
+  ASSERT_TRUE(engine.Submit(by_name, params(), {}, sink_for(0)).ok());
+  Engine::SubmitOptions cancelled;
+  cancelled.cancel = std::make_shared<std::atomic<bool>>(true);
+  ASSERT_TRUE(engine.Submit(by_name, params(), cancelled, sink_for(1)).ok());
+  Engine::SubmitOptions expired;
+  expired.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  ASSERT_TRUE(engine.Submit(by_name, params(), expired, sink_for(2)).ok());
+
+  // Synchronous rejections: bad id, bad arity, full queue, in-flight cap.
+  EXPECT_EQ(engine.Submit(9999, {}, {}, rejected_sink).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Submit(by_name, {}, {}, rejected_sink).code(),
+            StatusCode::kInvalidArgument);
+  Engine::SubmitOptions full;
+  full.max_queue_depth = 3;
+  EXPECT_EQ(engine.Submit(by_name, params(), full, rejected_sink).code(),
+            StatusCode::kResourceExhausted);
+  Engine::SubmitOptions capped;
+  capped.inflight = std::make_shared<std::atomic<int64_t>>(1);
+  capped.max_inflight = 1;
+  EXPECT_EQ(engine.Submit(by_name, params(), capped, rejected_sink).code(),
+            StatusCode::kResourceExhausted);
+
+  const BatchReport r = engine.RunOneBatch();
+  EXPECT_EQ(r.num_admitted, 1u);
+  EXPECT_EQ(r.num_cancelled, 1u);
+  EXPECT_EQ(r.num_shed, 1u);
+
+  // Queued but never admitted: the shutdown drain runs its sink.
+  ASSERT_TRUE(engine.Submit(by_name, params(), {}, sink_for(3)).ok());
+  EXPECT_EQ(engine.CloseSubmissions(Status::Unavailable("closing")), 1u);
+  EXPECT_EQ(engine.Submit(by_name, params(), {}, rejected_sink).code(),
+            StatusCode::kUnavailable);
+  (void)engine.RunOneBatch();  // nothing left to fulfil a second time
+
+  EXPECT_EQ(fired, (std::vector<int>{1, 1, 1, 1}));
+  EXPECT_EQ(codes[0], StatusCode::kOk);
+  EXPECT_EQ(codes[1], StatusCode::kAborted);
+  EXPECT_EQ(codes[2], StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(codes[3], StatusCode::kUnavailable);
+  EXPECT_EQ(rejected_fired, 0);
+}
+
 TEST_F(EngineFixture, EmptyBatchIsNoop) {
   Engine engine(BuildPlan());
   const Version before = catalog_.snapshots().ReadSnapshot();

@@ -16,11 +16,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/sync.h"
 #include "core/plan_builder.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -397,7 +399,7 @@ TEST_F(NetFixture, AsyncFetchCancelAndDeadline) {
 
 // A full admission queue must produce kResourceExhausted ERROR frames
 // synchronously: the driver is PAUSED here, so the rejections prove the
-// inline (no-reaper, no-heartbeat) response path.
+// inline (no-sink, no-heartbeat) response path.
 TEST_F(NetFixture, FullQueueRejectsSynchronously) {
   Engine engine(BuildPlan());
   api::ServerOptions sopts;
@@ -471,7 +473,8 @@ TEST_F(NetFixture, ShutdownDrainsInflightAsUnavailable) {
     threads.emplace_back([&] {
       net::Client client;
       if (!client.Connect("127.0.0.1", net_server.port()).ok()) return;
-      // One blocking call (parks in the reaper) and one async handle.
+      // One blocking call (its sink is owed by the engine) and one async
+      // handle.
       net::AsyncCall a = client.ExecuteAsync("user_by_id", {Value::Int(1)});
       started.fetch_add(1);
       const ResultSet blocking =
@@ -965,6 +968,252 @@ TEST_F(NetFixture, ProtocolErrorsAreTyped) {
     EXPECT_EQ(types[1], net::FrameType::kError);
     EXPECT_EQ(types[2], net::FrameType::kResult);
   }
+  net_server.Shutdown();
+}
+
+
+// --- completion push path ----------------------------------------------------
+
+/// Holds every non-empty batch before execution until opened, so calls stay
+/// in flight on a running driver deterministically.
+class BatchGate : public ChaosHook {
+ public:
+  void OnBeforeExecute(uint64_t, size_t) override {
+    MutexLock lock(&mu_);
+    ++held_;
+    cv_.NotifyAll();
+    while (closed_) cv_.Wait(&mu_);
+  }
+  void WaitHeld() {
+    MutexLock lock(&mu_);
+    while (held_ == 0) cv_.Wait(&mu_);
+  }
+  void Open() {
+    {
+      MutexLock lock(&mu_);
+      closed_ = false;
+    }
+    cv_.NotifyAll();
+  }
+
+ private:
+  Mutex mu_{"test.gate"};
+  CondVar cv_;
+  bool closed_ SDB_GUARDED_BY(mu_) = true;
+  int held_ SDB_GUARDED_BY(mu_) = 0;
+};
+
+std::string HelloFrame() {
+  return net::SealFrame(net::FrameType::kHello, 1,
+                        net::EncodeHello({net::kProtocolVersion, "push"}));
+}
+
+std::string ExecuteFrame(net::FrameType type, uint64_t request_id, int user) {
+  return net::SealFrame(
+      type, request_id,
+      net::EncodeExecute({true, 0, "user_by_id", 0, {Value::Int(user)}}));
+}
+
+/// Polls `done` every millisecond for up to 10 s; true once it holds.
+template <typename Pred>
+bool Eventually(Pred done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Shutdown() with blocking and async calls in flight on a RUNNING driver:
+// one batch is held mid-execution, more calls are queued behind it.
+// Shutdown must not return while the held batch still owes its sinks, must
+// return once it completes, and must leave nothing queued — so no sink can
+// run after it (the workers are freed right after; ASan/TSan would flag a
+// late one).
+TEST_F(NetFixture, ShutdownWaitsForInflightSinksOnRunningDriver) {
+  BatchGate gate;
+  EngineOptions eo;
+  eo.chaos = &gate;
+  Engine engine(BuildPlan(), eo);
+  api::Server server(&engine);
+  auto net_server = std::make_unique<net::Server>(&server);
+  ASSERT_TRUE(net_server->Start().ok());
+
+  constexpr int kConns = 4;
+  constexpr int kCalls = 8;  // alternating EXECUTE / EXECUTE_ASYNC
+  std::vector<RawConn> conns(kConns);
+  for (int c = 0; c < kConns; ++c) {
+    ASSERT_TRUE(conns[c].Connect(net_server->port()));
+    std::string bytes = HelloFrame();
+    for (int i = 0; i < kCalls; ++i) {
+      bytes += ExecuteFrame(i % 2 == 0 ? net::FrameType::kExecute
+                                       : net::FrameType::kExecuteAsync,
+                            static_cast<uint64_t>(2 + i), i);
+    }
+    ASSERT_TRUE(conns[c].Send(bytes));
+    // The first connection's calls start the held batch; the others queue
+    // behind it.
+    if (c == 0) gate.WaitHeld();
+  }
+  ASSERT_TRUE(Eventually([&] {
+    return engine.admission_totals().submitted ==
+           static_cast<uint64_t>(kConns * kCalls);
+  }));
+
+  std::atomic<bool> returned{false};
+  std::thread stopper([&] {
+    net_server->Shutdown();
+    returned.store(true);
+  });
+  // The loops cancel each connection's calls before closing it.
+  ASSERT_TRUE(Eventually([&] {
+    return net_server->stats().connections_closed ==
+           static_cast<uint64_t>(kConns);
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load()) << "Shutdown returned while sinks were owed";
+  gate.Open();
+  stopper.join();
+  EXPECT_EQ(engine.PendingCount(), 0u);
+  const Engine::AdmissionTotals t = engine.admission_totals();
+  EXPECT_EQ(t.submitted,
+            t.admitted + t.rejected + t.shed + t.cancelled + t.unavailable);
+  EXPECT_GT(t.admitted, 0u);
+  EXPECT_GT(t.cancelled, 0u);  // the queued calls were cancelled, not run
+
+  net_server.reset();
+  // The driver keeps beating after the front door is gone.
+  auto session = server.OpenSession();
+  EXPECT_TRUE(session->Execute("user_by_id", {Value::Int(3)}).status.ok());
+}
+
+// A client that half-closes with EXECUTEs still queued gets them cancelled,
+// not answered: its stream ends after the PONG.
+TEST_F(NetFixture, ClientCloseCancelsPendingExecutes) {
+  Engine engine(BuildPlan());
+  api::ServerOptions sopts;
+  sopts.start_paused = true;  // keep the calls queued until the close
+  api::Server server(&engine, sopts);
+  net::Server net_server(&server);
+  ASSERT_TRUE(net_server.Start().ok());
+
+  constexpr uint64_t kCalls = 6;
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(net_server.port()));
+  std::string bytes = HelloFrame();
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    bytes += ExecuteFrame(i % 2 == 0 ? net::FrameType::kExecute
+                                     : net::FrameType::kExecuteAsync,
+                          2 + i, static_cast<int>(i));
+  }
+  ASSERT_TRUE(conn.Send(bytes));
+  ASSERT_TRUE(Eventually([&] { return engine.PendingCount() == kCalls; }));
+  ASSERT_EQ(shutdown(conn.fd(), SHUT_WR), 0);
+
+  const std::vector<net::Frame> frames = SplitFrames(conn.ReadAll());
+  EXPECT_TRUE(conn.saw_eof());
+  // PONG, then one async ack per EXECUTE_ASYNC; no RESULT, no ERROR.
+  ASSERT_EQ(frames.size(), 1 + kCalls / 2);
+  EXPECT_EQ(frames[0].type, net::FrameType::kPong);
+  for (size_t i = 1; i < frames.size(); ++i) {
+    net::ResultHead head;
+    std::vector<Tuple> rows;
+    ASSERT_EQ(frames[i].type, net::FrameType::kResult);
+    ASSERT_TRUE(net::DecodeResultHead(frames[i].body, &head, &rows));
+    EXPECT_FALSE(head.ready) << "request " << frames[i].request_id;
+  }
+
+  server.Resume();
+  ASSERT_TRUE(Eventually(
+      [&] { return engine.admission_totals().cancelled == kCalls; }));
+  EXPECT_EQ(engine.admission_totals().admitted, 0u);
+  net_server.Shutdown();
+}
+
+// One connection pipelines 256 EXECUTEs in a single write: every one is
+// answered once, under its own request id, with its own row.
+TEST_F(NetFixture, PipelinedExecutesAllAnsweredByRequestId) {
+  Engine engine(BuildPlan());
+  api::Server server(&engine);
+  net::Server net_server(&server);
+  ASSERT_TRUE(net_server.Start().ok());
+
+  constexpr int kCalls = 256;
+  constexpr uint64_t kFirstId = 1000;
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(net_server.port()));
+  std::string bytes = HelloFrame();
+  for (int i = 0; i < kCalls; ++i) {
+    bytes += ExecuteFrame(net::FrameType::kExecute,
+                          kFirstId + static_cast<uint64_t>(i), i % 40);
+  }
+  ASSERT_TRUE(conn.Send(bytes));
+
+  std::vector<int> answered(kCalls, 0);
+  std::string got;
+  char buf[4096];
+  int results = 0;
+  while (results < kCalls) {
+    const ssize_t n = recv(conn.fd(), buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "stream ended after " << results << " results";
+    got.append(buf, static_cast<size_t>(n));
+    for (;;) {
+      net::Frame f;
+      size_t consumed = 0;
+      if (net::DecodeFrame(got, net::kDefaultMaxPayload, &f, &consumed) !=
+          net::DecodeStatus::kFrame) {
+        break;
+      }
+      got.erase(0, consumed);
+      if (f.type == net::FrameType::kPong) continue;
+      ASSERT_EQ(f.type, net::FrameType::kResult);
+      ASSERT_GE(f.request_id, kFirstId);
+      ASSERT_LT(f.request_id, kFirstId + kCalls);
+      const size_t i = static_cast<size_t>(f.request_id - kFirstId);
+      net::ResultHead head;
+      std::vector<Tuple> rows;
+      ASSERT_TRUE(net::DecodeResultHead(f.body, &head, &rows));
+      ASSERT_EQ(rows.size(), 1u);
+      EXPECT_EQ(rows[0][0].AsInt(), static_cast<int64_t>(i % 40));
+      ++answered[i];
+      ++results;
+    }
+  }
+  EXPECT_EQ(answered, std::vector<int>(kCalls, 1));
+  EXPECT_EQ(net_server.stats().frames_in, static_cast<uint64_t>(kCalls + 1));
+  net_server.Shutdown();
+}
+
+// A connection that is closing reads no further: a client that says GOODBYE
+// and keeps pipelining megabytes costs the server at most one read chunk
+// (plus one partial frame) beyond what it decoded.
+TEST_F(NetFixture, ClosingConnectionStopsReading) {
+  Engine engine(BuildPlan());
+  api::Server server(&engine);
+  net::Server net_server(&server);
+  ASSERT_TRUE(net_server.Start().ok());
+
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(net_server.port()));
+  timeval tv{2, 0};  // a server that stops reading must not hang the test
+  ASSERT_EQ(setsockopt(conn.fd(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)),
+            0);
+  const std::string hello = HelloFrame();
+  const std::string goodbye = net::SealFrame(net::FrameType::kGoodbye, 2, "");
+  const std::string exec = ExecuteFrame(net::FrameType::kExecute, 3, 1);
+  std::string flood;
+  while (flood.size() < (4u << 20)) flood += exec;
+  // The server may close (and reset) while the flood is in flight.
+  (void)conn.Send(hello + goodbye + flood);
+
+  ASSERT_TRUE(
+      Eventually([&] { return net_server.stats().connections_closed == 1; }));
+  const net::NetServerStats ns = net_server.stats();
+  EXPECT_EQ(ns.frames_in, 2u);
+  EXPECT_LE(ns.bytes_in,
+            hello.size() + goodbye.size() + net::kReadChunkBytes + exec.size());
   net_server.Shutdown();
 }
 
