@@ -109,7 +109,7 @@ struct JoinFixture {
 /// Shared hash join keyed on the DATA column, qid sets intersected per match.
 void BM_SharedJoin_DataKey(benchmark::State& state) {
   JoinFixture f(static_cast<int>(state.range(0)), 4096);
-  HashJoinOp op(f.left_schema, f.right_schema, 0, 0, /*build_left=*/true, "l", "r");
+  HashJoinOp op(f.left_schema, f.right_schema, 0, 0, "l", "r");
   CycleContext ctx;
   for (auto _ : state) {
     std::vector<BatchRef> inputs;

@@ -15,7 +15,6 @@
 #include "runtime/task_pool.h"
 #include "storage/catalog.h"
 #include "storage/clock_scan.h"
-#include "storage/partition.h"
 #include "common/rng.h"
 
 namespace shareddb {
@@ -360,44 +359,6 @@ BENCHMARK(BM_ClockScanCycleParallel)
     ->Args({256, 4})
     ->Args({256, 8});
 
-/// Partition-parallel scan cycle. Args: {partitions, workers}.
-void BM_PartitionedScanParallel(benchmark::State& state) {
-  const size_t rows = 65536;
-  const size_t parts = static_cast<size_t>(state.range(0));
-  const size_t workers = static_cast<size_t>(state.range(1));
-  PartitionedTable pt("pt",
-                      Schema::Make({{"id", ValueType::kInt},
-                                    {"val", ValueType::kInt},
-                                    {"name", ValueType::kString}}),
-                      /*key_column=*/0, parts);
-  Rng rng(7);
-  for (size_t i = 0; i < rows; ++i) {
-    pt.Insert({Value::Int(static_cast<int64_t>(i)), Value::Int(rng.Uniform(0, 999)),
-               Value::Str("name" + std::to_string(i))},
-              1);
-  }
-  std::vector<ScanQuerySpec> specs;
-  for (int i = 0; i < 128; ++i) {
-    specs.push_back(ScanQuerySpec{
-        static_cast<QueryId>(i),
-        Expr::Eq(Expr::Column(1), Expr::Literal(Value::Int(rng.Uniform(0, 999))))});
-  }
-
-  TaskPool pool(workers);
-  const ParallelContext pc = BenchCtx(&pool);
-  const ParallelContext* ctx = workers > 0 ? &pc : nullptr;
-  for (auto _ : state) {
-    DQBatch out = pt.RunScanCycle(specs, {}, 1, 2, nullptr, ctx);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
-}
-BENCHMARK(BM_PartitionedScanParallel)
-    ->Args({4, 0})
-    ->Args({4, 2})
-    ->Args({4, 4})
-    ->Args({8, 8});
-
 /// Parallel shared sort (partition sort + k-way merge). Arg: workers.
 void BM_SharedSortParallel(benchmark::State& state) {
   const size_t rows = 65536;
@@ -473,7 +434,7 @@ void BM_HashJoinParallel(benchmark::State& state) {
                 make_qids());
   }
 
-  HashJoinOp op(left, right, 0, 1, true, "u", "o");
+  HashJoinOp op(left, right, 0, 1, "u", "o");
   std::vector<OpQuery> queries(static_cast<size_t>(q));
   for (int i = 0; i < q; ++i) {
     queries[static_cast<size_t>(i)].id = static_cast<QueryId>(i);

@@ -136,10 +136,9 @@ BaselineResult BaselineEngine::Execute(StatementId id,
     UpdateOp op;
     op.kind = s.kind;
     if (s.kind == UpdateKind::kInsert) {
-      op.row.reserve(s.row_values.size());
-      for (const ExprPtr& e : s.row_values) {
-        op.row.push_back(e->Evaluate(kNoTuple, params));
-      }
+      op.row = Tuple::Build(s.row_values.size(), [&](size_t i) {
+        return s.row_values[i]->Evaluate(kNoTuple, params);
+      });
     } else {
       if (s.where != nullptr) op.where = s.where->Bind(params);
       for (const auto& [col, expr] : s.sets) {

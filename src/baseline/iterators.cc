@@ -342,9 +342,8 @@ void GroupByIterator::Open() {
   std::unordered_map<uint64_t, std::vector<Group>> groups;
   Tuple t;
   while (child_->Next(&t)) {
-    Tuple key;
-    key.reserve(group_columns_.size());
-    for (const size_t g : group_columns_) key.push_back(t[g]);
+    Tuple key = Tuple::Build(group_columns_.size(),
+                             [&](size_t i) -> const Value& { return t[group_columns_[i]]; });
     const uint64_t h = TupleHash(key);
     ++stats_->hash_probes;
     std::vector<Group>& bucket = groups[h];
@@ -372,10 +371,11 @@ void GroupByIterator::Open() {
   for (auto& [h, bucket] : groups) {
     (void)h;
     for (Group& grp : bucket) {
-      Tuple row = std::move(grp.key);
+      std::vector<Value> cells(grp.key.begin(), grp.key.end());
       for (size_t a = 0; a < aggs_.size(); ++a) {
-        row.push_back(grp.accs[a].Finalize(aggs_[a].func));
+        cells.push_back(grp.accs[a].Finalize(aggs_[a].func));
       }
+      Tuple row(std::move(cells));
       if (having_ != nullptr) {
         ++stats_->predicate_evals;
         if (!having_->EvalBool(row, kNoParams)) continue;
@@ -458,9 +458,7 @@ void ProjectIterator::Open() { child_->Open(); }
 bool ProjectIterator::Next(Tuple* out) {
   Tuple t;
   if (!child_->Next(&t)) return false;
-  out->clear();
-  out->reserve(columns_.size());
-  for (const size_t c : columns_) out->push_back(std::move(t[c]));
+  *out = Tuple::Build(columns_.size(), [&](size_t i) -> const Value& { return t[columns_[i]]; });
   ++stats_->tuples_out;
   return true;
 }

@@ -85,8 +85,9 @@ struct DQBatch {
 ///
 /// A producer with several consumers publishes ONE batch as a
 /// shared_ptr<const DQBatch>; every consumer edge carries a refcounted
-/// handle instead of a deep copy (tuples are vectors of values — copying a
-/// batch per consumer was the dominant fan-out cost). A consumer that only
+/// handle instead of a copy (a copied batch shares its rows, since Tuple is
+/// a refcounted handle, but still copies one handle and one QueryIdSet per
+/// row). A consumer that only
 /// reads uses view(); a consumer that wants to mutate calls Take(), which
 /// moves when this handle is the only owner and copies otherwise
 /// (copy-on-write).

@@ -32,6 +32,14 @@ void WalTableLogger::OnDelete(const Table& table, RowId row, Version v) {
 Engine::Engine(std::unique_ptr<GlobalPlan> plan, EngineOptions options)
     : plan_(std::move(plan)), options_(std::move(options)) {
   SDB_CHECK(plan_ != nullptr);
+  if (options_.vacuum_interval > 0 && options_.durability.mode != DurabilityMode::kNone) {
+    init_status_ = Status::InvalidArgument(
+        "vacuum_interval > 0 with a WAL: vacuum renumbers the rows that WAL "
+        "records name by position");
+    MutexLock lock(&mu_);
+    closed_ = true;
+    return;
+  }
   const ParallelOptions& po = options_.parallel;
   if (po.num_workers > 0) {
     TaskPool::Options tp;
@@ -109,6 +117,7 @@ Status Engine::Submit(StatementId statement, std::vector<Value> params,
   stat_submitted_.fetch_add(1, std::memory_order_relaxed);
   if (closed_) {
     stat_unavailable_.fetch_add(1, std::memory_order_relaxed);
+    if (!init_status_.ok()) return init_status_;
     return Status::Unavailable("engine is shut down; submission refused");
   }
   if (opts.max_inflight > 0 && opts.inflight != nullptr &&
@@ -335,10 +344,9 @@ BatchReport Engine::RunOneBatch(size_t max_admissions) {
       op.applied_out = p.update_count.get();
       static const Tuple kNoTuple;
       if (u.kind == UpdateKind::kInsert) {
-        op.row.reserve(u.row_values.size());
-        for (const ExprPtr& e : u.row_values) {
-          op.row.push_back(e->Evaluate(kNoTuple, p.params));
-        }
+        op.row = Tuple::Build(u.row_values.size(), [&](size_t i) {
+          return u.row_values[i]->Evaluate(kNoTuple, p.params);
+        });
       } else {
         if (u.where != nullptr) op.where = u.where->Bind(p.params);
         for (const auto& [col, expr] : u.sets) {

@@ -100,7 +100,9 @@ struct DurabilityOptions {
 /// Engine options.
 struct EngineOptions {
   DurabilityOptions durability;
-  /// Vacuum dead row versions every N batches (0 = never).
+  /// Vacuum dead row versions every N batches (0 = never). Must stay 0 with
+  /// a WAL: Vacuum renumbers rows, and WAL update/delete records still name
+  /// rows by physical position, so replay would close the wrong rows.
   int vacuum_interval = 0;
   /// Shared worker pool for parallel cycle execution.
   ParallelOptions parallel;
@@ -117,6 +119,10 @@ class Engine {
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
+
+  /// kInvalidArgument when `options` combine vacuum with a WAL. Such an
+  /// engine starts closed: it opens no log and every Submit returns this.
+  const Status& init_status() const { return init_status_; }
 
   const GlobalPlan& plan() const { return *plan_; }
   Catalog* catalog() const { return plan_->catalog(); }
@@ -281,6 +287,7 @@ class Engine {
 
   std::unique_ptr<GlobalPlan> plan_;
   EngineOptions options_;
+  Status init_status_;
   std::unique_ptr<TaskPool> task_pool_;
   ParallelContext parallel_ctx_;
   std::unique_ptr<Wal> wal_;

@@ -41,7 +41,7 @@ LogicalPtr Filter(LogicalPtr child, ExprPtr predicate) {
 
 LogicalPtr HashJoin(LogicalPtr left, LogicalPtr right, std::string left_key,
                     std::string right_key, ExprPtr residual, std::string left_prefix,
-                    std::string right_prefix, bool build_left) {
+                    std::string right_prefix) {
   auto n = NewNode(Kind::kJoin);
   n->method = JoinMethod::kHash;
   n->children = {std::move(left), std::move(right)};
@@ -50,7 +50,6 @@ LogicalPtr HashJoin(LogicalPtr left, LogicalPtr right, std::string left_key,
   n->predicate = std::move(residual);
   n->left_prefix = std::move(left_prefix);
   n->right_prefix = std::move(right_prefix);
-  n->build_left = build_left;
   return n;
 }
 
@@ -198,8 +197,7 @@ std::string Fingerprint(const LogicalPtr& node) {
       } else {
         s += Fingerprint(node->children[1]);
       }
-      s += "," + node->left_key + "," + node->right_key + "," +
-           (node->build_left ? "L" : "R") + ")";
+      s += "," + node->left_key + "," + node->right_key + ")";
       break;
     }
     case Kind::kSort: {

@@ -63,7 +63,6 @@ struct LogicalNode {
   JoinMethod method = JoinMethod::kHash;
   std::string left_key;   // column name in left child output
   std::string right_key;  // column name in right child output / inner table
-  bool build_left = true;
   std::string left_prefix;
   std::string right_prefix;
 
@@ -91,8 +90,7 @@ LogicalPtr Probe(std::string table, std::string index, ExprPtr predicate = nullp
 LogicalPtr Filter(LogicalPtr child, ExprPtr predicate);
 LogicalPtr HashJoin(LogicalPtr left, LogicalPtr right, std::string left_key,
                     std::string right_key, ExprPtr residual = nullptr,
-                    std::string left_prefix = "", std::string right_prefix = "",
-                    bool build_left = true);
+                    std::string left_prefix = "", std::string right_prefix = "");
 LogicalPtr QidJoin(LogicalPtr left, LogicalPtr right, std::string left_key,
                    std::string right_key, ExprPtr residual = nullptr,
                    std::string left_prefix = "", std::string right_prefix = "");

@@ -164,10 +164,8 @@ DQBatch GroupByOp::RunCycle(std::vector<BatchRef> inputs,
 
   const auto make_key = [&](size_t i) {
     const Tuple& t = in.tuples[i];
-    Tuple key;
-    key.reserve(group_columns_.size());
-    for (const size_t g : group_columns_) key.push_back(t[g]);
-    return key;
+    return Tuple::Build(group_columns_.size(),
+                        [&](size_t k) -> const Value& { return t[group_columns_[k]]; });
   };
 
   // Phase 1 (shared): group all tuples once. Parallel path: hash-partition
@@ -244,12 +242,11 @@ DQBatch GroupByOp::RunCycle(std::vector<BatchRef> inputs,
   for (const OpQuery& q : queries) any_having |= (q.having != nullptr);
 
   DQBatch out(schema_);
-  auto emit = [&](Tuple key, const std::vector<Acc>& accs, QueryIdSet members) {
-    Tuple row = std::move(key);
-    row.reserve(row.size() + aggs_.size());
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      row.push_back(accs[a].Finalize(aggs_[a].func));
-    }
+  auto emit = [&](const Tuple& key, const std::vector<Acc>& accs, QueryIdSet members) {
+    const size_t nk = key.size();
+    Tuple row = Tuple::Build(nk + aggs_.size(), [&](size_t i) {
+      return i < nk ? key[i] : accs[i - nk].Finalize(aggs_[i - nk].func);
+    });
     QueryIdSet survivors = std::move(members);
     if (any_having) {
       std::vector<QueryId> keep;

@@ -7,14 +7,12 @@
 namespace shareddb {
 
 HashJoinOp::HashJoinOp(SchemaPtr left_schema, SchemaPtr right_schema, size_t left_key,
-                       size_t right_key, bool build_left,
-                       const std::string& left_prefix,
+                       size_t right_key, const std::string& left_prefix,
                        const std::string& right_prefix)
     : left_schema_(std::move(left_schema)),
       right_schema_(std::move(right_schema)),
       left_key_(left_key),
-      right_key_(right_key),
-      build_left_(build_left) {
+      right_key_(right_key) {
   SDB_CHECK(left_key_ < left_schema_->num_columns());
   SDB_CHECK(right_key_ < right_schema_->num_columns());
   schema_ = Schema::Join(*left_schema_, *right_schema_, left_prefix, right_prefix);
@@ -75,10 +73,13 @@ DQBatch HashJoinOp::RunCycle(std::vector<BatchRef> inputs,
   DQBatch left = MaskToActive(std::move(inputs[0]), active, stats);
   DQBatch right = MaskToActive(std::move(inputs[1]), active, stats);
 
-  const DQBatch& build = build_left_ ? left : right;
-  const DQBatch& probe = build_left_ ? right : left;
-  const size_t build_key = build_left_ ? left_key_ : right_key_;
-  const size_t probe_key = build_left_ ? right_key_ : left_key_;
+  // Build on the smaller side of this cycle (left on a tie). The choice is a
+  // function of the inputs alone, so serial and pooled runs agree on it.
+  const bool left_builds = left.size() <= right.size();
+  const DQBatch& build = left_builds ? left : right;
+  const DQBatch& probe = left_builds ? right : left;
+  const size_t build_key = left_builds ? left_key_ : right_key_;
+  const size_t probe_key = left_builds ? right_key_ : left_key_;
 
   const ParallelContext* par = ctx.parallel;
   const bool parallelize =
@@ -202,8 +203,8 @@ DQBatch HashJoinOp::RunCycle(std::vector<BatchRef> inputs,
                 sc->IntersectSets(probe.qids[p], build.qids[b], count_stats);
             if (joint.empty()) continue;
             // Output tuple is always (left ++ right) regardless of build side.
-            const Tuple& lt = build_left_ ? build.tuples[b] : probe.tuples[p];
-            const Tuple& rt = build_left_ ? probe.tuples[p] : build.tuples[b];
+            const Tuple& lt = left_builds ? build.tuples[b] : probe.tuples[p];
+            const Tuple& rt = left_builds ? probe.tuples[p] : build.tuples[b];
             Tuple joined = ConcatTuples(lt, rt);
             // Per-query residuals strip ids.
             if (any_residual) {

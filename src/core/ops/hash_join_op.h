@@ -10,6 +10,9 @@
 // Per-query residual predicates (conjuncts that could not be pushed below
 // the join) are applied to the concatenated tuple and strip individual
 // query ids.
+//
+// Each cycle hashes whichever masked input is smaller and probes with the
+// other; output tuples are (left ++ right) either way.
 
 #ifndef SHAREDDB_CORE_OPS_HASH_JOIN_OP_H_
 #define SHAREDDB_CORE_OPS_HASH_JOIN_OP_H_
@@ -21,10 +24,9 @@ namespace shareddb {
 /// Shared hash equi-join of two inputs (input 0 = left, input 1 = right).
 class HashJoinOp : public SharedOp {
  public:
-  /// `build_left` selects which side the hash table is built on.
   HashJoinOp(SchemaPtr left_schema, SchemaPtr right_schema, size_t left_key,
-             size_t right_key, bool build_left = true,
-             const std::string& left_prefix = "", const std::string& right_prefix = "");
+             size_t right_key, const std::string& left_prefix = "",
+             const std::string& right_prefix = "");
 
   DQBatch RunCycle(std::vector<BatchRef> inputs, const std::vector<OpQuery>& queries,
                    const CycleContext& ctx, WorkStats* stats) override;
@@ -34,14 +36,12 @@ class HashJoinOp : public SharedOp {
 
   size_t left_key() const { return left_key_; }
   size_t right_key() const { return right_key_; }
-  bool build_left() const { return build_left_; }
 
  private:
   SchemaPtr left_schema_;
   SchemaPtr right_schema_;
   size_t left_key_;
   size_t right_key_;
-  bool build_left_;
   SchemaPtr schema_;  // left ++ right
 };
 

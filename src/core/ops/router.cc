@@ -29,10 +29,10 @@ DQBatch ProjectOp::RunCycle(std::vector<BatchRef> inputs,
     if (stats != nullptr) stats->tuples_in += b.size();
     DQBatch masked = MaskToActive(std::move(b), active, stats);
     for (size_t i = 0; i < masked.size(); ++i) {
-      Tuple t;
-      t.reserve(columns_.size());
-      for (const size_t c : columns_) t.push_back(std::move(masked.tuples[i][c]));
-      out.Push(std::move(t), std::move(masked.qids[i]));
+      const Tuple& in = masked.tuples[i];
+      out.Push(Tuple::Build(columns_.size(),
+                            [&](size_t k) -> const Value& { return in[columns_[k]]; }),
+               std::move(masked.qids[i]));
       if (stats != nullptr) ++stats->tuples_out;
     }
   }

@@ -89,8 +89,7 @@ int GlobalPlanBuilder::Materialize(
           const size_t lk = left->ColumnIndex(node->left_key);
           const size_t rk = right->ColumnIndex(node->right_key);
           if (node->method == JoinMethod::kHash) {
-            pn.op = std::make_unique<HashJoinOp>(left, right, lk, rk,
-                                                 node->build_left, node->left_prefix,
+            pn.op = std::make_unique<HashJoinOp>(left, right, lk, rk, node->left_prefix,
                                                  node->right_prefix);
           } else {
             pn.op = std::make_unique<QidJoinOp>(left, right, lk, rk,

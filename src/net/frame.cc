@@ -19,13 +19,11 @@ void PutRow(std::string* out, const Tuple& row) {
 bool ReadRow(wire::Reader* r, Tuple* row) {
   uint16_t n;
   if (!r->ReadU16(&n)) return false;
-  row->clear();
-  row->reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    Value v;
+  std::vector<Value> cells(n);
+  for (Value& v : cells) {
     if (!r->ReadValue(&v)) return false;
-    row->push_back(std::move(v));
   }
+  *row = Tuple(std::move(cells));
   return true;
 }
 

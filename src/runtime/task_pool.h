@@ -4,8 +4,8 @@
 //     submitted when the node's last input arrives (runtime/executor.cc);
 //   * INTRA-operator (paper §4.4–§4.5: Crescando "supports horizontal
 //     partitioning of data and processing several partitions with different
-//     cores in parallel"): a heavy operator — ClockScan, sort, hash join, a
-//     partitioned scan — fans one cycle out into morsel tasks.
+//     cores in parallel"): a heavy operator — ClockScan, sort, hash join —
+//     fans one cycle out into morsel tasks.
 //
 // Design:
 //   * Each worker owns a deque. A TaskGroup enqueues its tasks onto ONE home

@@ -50,12 +50,12 @@ size_t ClockScan::ApplyUpdate(Table* table, const UpdateOp& op,
       const std::vector<RowId> victims = FindVictims(table, op.where, write_version);
       for (const RowId id : victims) {
         const Tuple old = table->GetRow(id).data;
-        Tuple updated = old;
+        std::vector<Value> updated(old.begin(), old.end());
         for (const auto& [col, expr] : op.sets) {
           SDB_DCHECK(col < updated.size());
           updated[col] = expr->Evaluate(old, kNoParams);
         }
-        table->UpdateRow(id, std::move(updated), write_version);
+        table->UpdateRow(id, Tuple(std::move(updated)), write_version);
       }
       applied = victims.size();
       break;

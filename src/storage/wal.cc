@@ -108,13 +108,14 @@ void PutTuple(std::string* s, const Tuple& t) {
 bool GetTuple(Cursor* c, Tuple* t) {
   uint32_t n;
   if (!c->GetU32(&n)) return false;
-  t->clear();
-  t->reserve(n);
+  std::vector<Value> cells;
+  cells.reserve(n < 4096 ? n : 4096);  // n is untrusted until its cells decode
   for (uint32_t i = 0; i < n; ++i) {
     Value v;
     if (!GetValue(c, &v)) return false;
-    t->push_back(std::move(v));
+    cells.push_back(std::move(v));
   }
+  *t = Tuple(std::move(cells));
   return true;
 }
 

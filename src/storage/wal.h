@@ -70,10 +70,9 @@ struct WalRecord {
 /// Append-only log writer/reader.
 ///
 /// Appends are serialized by an internal mutex: table-write observers fire
-/// from whichever thread performs the mutation, and parallel partition
-/// cycles (PartitionedTable::RunScanCycle) mutate different tables
-/// concurrently — without the latch their records would interleave
-/// mid-record. Each Log* call appends one complete record atomically to the
+/// from whichever thread performs the mutation, and plan nodes running on
+/// the TaskPool mutate different tables concurrently — without the latch
+/// their records would interleave mid-record. Each Log* call appends one complete record atomically to the
 /// in-memory buffer; nothing reaches the file until Flush()/Sync().
 class Wal {
  public:

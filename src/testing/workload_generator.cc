@@ -161,13 +161,13 @@ std::unique_ptr<Catalog> RandomWorkloadGenerator::BuildCatalog() const {
     table->set_rows_per_segment(spec.rows_per_segment);
     Rng rng(SubSeed(opts_.seed, 100 + t));
     for (size_t r = 0; r < spec.rows; ++r) {
-      Tuple row;
+      std::vector<Value> row;
       row.reserve(spec.cols.size());
       for (const ColumnSpec& c : spec.cols) {
         row.push_back(c.is_id ? Value::Int(static_cast<int64_t>(r))
                               : DrawColumnValue(c, &rng));
       }
-      table->Insert(std::move(row), 1);
+      table->Insert(Tuple(std::move(row)), 1);
     }
     for (const auto& [name, col] : spec.indexes) {
       table->CreateIndex(name, spec.cols[col].name);
@@ -402,7 +402,8 @@ void RandomWorkloadGenerator::GenerateQueryTemplates(Rng* rng) {
             logical::Scan(b.name, std::move(right_pred), ti == tj ? 1 : 0);
         if (method < 8) {
           root = logical::HashJoin(left, right, left_key, right_key, nullptr, "l",
-                                   "r", rng->Bernoulli(0.5));
+                                   "r");
+          (void)rng->Bernoulli(0.5);  // unused draw: keeps every seed's workload
         } else {
           root = logical::QidJoin(left, right, left_key, right_key, nullptr, "l",
                                   "r");

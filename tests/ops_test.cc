@@ -60,7 +60,7 @@ TEST(HashJoinOpTest, Figure3Semantics) {
   right.Push({Value::Int(2), Value::Int(200)}, QueryIdSet{1});
   right.Push({Value::Int(3), Value::Int(300)}, QueryIdSet{0});
 
-  HashJoinOp op(r, s, 0, 0, true, "r", "s");
+  HashJoinOp op(r, s, 0, 0, "r", "s");
   std::vector<OpQuery> queries{{0, nullptr, nullptr, -1}, {1, nullptr, nullptr, -1}};
   std::vector<BatchRef> inputs;
   inputs.push_back(std::move(left));
@@ -116,28 +116,39 @@ TEST(HashJoinOpTest, MasksForeignQueryIds) {
 }
 
 TEST(HashJoinOpTest, BuildSideSelectionEquivalent) {
+  // The op hashes the smaller input. Padding the left side with rows that
+  // join nothing flips the build side; the per-query output must not move.
   Rng rng(5);
   auto r = RSchema();
   auto s = SSchema();
   DQBatch left(r), right(s);
   for (int i = 0; i < 50; ++i) {
     left.Push({Value::Int(rng.Uniform(0, 10)), Value::Int(i)},
-              QueryIdSet{static_cast<QueryId>(rng.Uniform(0, 3))});
+              QueryIdSet{static_cast<QueryId>(rng.Uniform(0, 2))});
+  }
+  for (int i = 0; i < 80; ++i) {
     right.Push({Value::Int(rng.Uniform(0, 10)), Value::Int(i)},
-               QueryIdSet{static_cast<QueryId>(rng.Uniform(0, 3))});
+               QueryIdSet{static_cast<QueryId>(rng.Uniform(0, 2))});
+  }
+  DQBatch padded = left;
+  for (int i = 0; i < 70; ++i) {
+    padded.Push({Value::Int(1000 + i), Value::Int(i)}, QueryIdSet{0, 1, 2});
   }
   std::vector<OpQuery> queries{{0, nullptr, nullptr, -1},
                                {1, nullptr, nullptr, -1},
                                {2, nullptr, nullptr, -1}};
-  HashJoinOp build_l(r, s, 0, 0, true);
-  HashJoinOp build_r(r, s, 0, 0, false);
+  HashJoinOp op(r, s, 0, 0);
   std::vector<BatchRef> in1, in2;
   in1.push_back(left);
   in1.push_back(right);
-  in2.push_back(left);
+  in2.push_back(padded);
   in2.push_back(right);
-  DQBatch o1 = build_l.RunCycle(std::move(in1), queries, Ctx(), nullptr);
-  DQBatch o2 = build_r.RunCycle(std::move(in2), queries, Ctx(), nullptr);
+  WorkStats st1, st2;
+  DQBatch o1 = op.RunCycle(std::move(in1), queries, Ctx(), &st1);
+  DQBatch o2 = op.RunCycle(std::move(in2), queries, Ctx(), &st2);
+  EXPECT_EQ(st1.hash_builds, 50u);  // built on left (50 < 80)
+  EXPECT_EQ(st2.hash_builds, 80u);  // built on right (80 < 120)
+  ASSERT_GT(o1.size(), 0u);
   for (QueryId q = 0; q < 3; ++q) {
     EXPECT_EQ(SortedTuples(o1.RowsFor(q)), SortedTuples(o2.RowsFor(q)));
   }

@@ -1,5 +1,5 @@
 // Serial-vs-parallel equivalence: the morsel-parallel ClockScan, the
-// parallel partitioned scan, the parallel sort, and the parallel hash join
+// parallel sort, the parallel hash join and the other morsel operators
 // must produce batches IDENTICAL to their serial paths — same rows, same
 // order, same annotations — across worker counts, plus matching totals for
 // every deterministic work counter. (Counters that measure memoization hits
@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "api/server.h"
@@ -26,7 +28,6 @@
 #include "runtime/task_pool.h"
 #include "storage/catalog.h"
 #include "storage/clock_scan.h"
-#include "storage/partition.h"
 #include "testing_util.h"
 
 namespace shareddb {
@@ -144,52 +145,6 @@ TEST(ParallelEquivalence, ClockScanMatchesSerialAcrossCycles) {
     ExpectBatchesIdentical(expect, got, "cycle " + std::to_string(v));
   }
   EXPECT_EQ(par_scan.index_builds(), 1u);  // one build, four reuses
-}
-
-// --- PartitionedTable --------------------------------------------------------
-
-std::unique_ptr<PartitionedTable> MakePartitioned(size_t rows, size_t parts) {
-  auto pt = std::make_unique<PartitionedTable>(
-      "pt",
-      Schema::Make({{"id", ValueType::kInt},
-                    {"val", ValueType::kInt},
-                    {"name", ValueType::kString}}),
-      /*key_column=*/0, parts);
-  Rng rng(13);
-  for (size_t i = 0; i < rows; ++i) {
-    pt->Insert({Value::Int(static_cast<int64_t>(i)), Value::Int(rng.Uniform(0, 99)),
-                Value::Str("p" + std::to_string(i % 23))},
-               1);
-  }
-  return pt;
-}
-
-TEST(ParallelEquivalence, PartitionedScanMatchesSerial) {
-  constexpr size_t kRows = 1200;
-  constexpr size_t kParts = 4;
-  auto serial_pt = MakePartitioned(kRows, kParts);
-  std::vector<ClockScanStats> serial_stats;
-  const DQBatch expect = serial_pt->RunScanCycle(MakeScanQueries(),
-                                                 MakeScanUpdates(), 1, 2,
-                                                 &serial_stats);
-  ASSERT_GT(expect.size(), 0u);
-
-  for (const size_t workers : kWorkerCounts) {
-    TaskPool pool(workers);
-    const ParallelContext pc = MakeCtx(&pool);
-    auto pt = MakePartitioned(kRows, kParts);
-    std::vector<ClockScanStats> stats;
-    const DQBatch got = pt->RunScanCycle(MakeScanQueries(), MakeScanUpdates(), 1,
-                                         2, &stats, &pc);
-    ExpectBatchesIdentical(expect, got,
-                           "partitioned w=" + std::to_string(workers));
-    ASSERT_EQ(stats.size(), serial_stats.size());
-    for (size_t p = 0; p < stats.size(); ++p) {
-      EXPECT_EQ(stats[p].rows_scanned, serial_stats[p].rows_scanned) << p;
-      EXPECT_EQ(stats[p].updates_applied, serial_stats[p].updates_applied) << p;
-      EXPECT_EQ(stats[p].tuples_out, serial_stats[p].tuples_out) << p;
-    }
-  }
 }
 
 // --- SortOp ------------------------------------------------------------------
@@ -345,8 +300,7 @@ TEST(ParallelEquivalence, HashJoinMatchesSerial) {
                 qids_for(1));
   }
 
-  HashJoinOp op(left, right, /*left_key=*/0, /*right_key=*/1,
-                /*build_left=*/true, "u", "o");
+  HashJoinOp op(left, right, /*left_key=*/0, /*right_key=*/1, "u", "o");
   std::vector<OpQuery> queries(kQueries);
   for (int q = 0; q < kQueries; ++q) {
     queries[q].id = static_cast<QueryId>(q);
@@ -383,6 +337,117 @@ TEST(ParallelEquivalence, HashJoinMatchesSerial) {
     EXPECT_EQ(stats.hash_probes, serial_stats.hash_probes);
     EXPECT_EQ(stats.tuples_out, serial_stats.tuples_out);
     EXPECT_EQ(stats.predicate_evals, serial_stats.predicate_evals);
+  }
+}
+
+/// Definitional join for BuildSideFollowsSmallerInput: every (left, right)
+/// pair with equal non-NULL keys, annotated with the intersection of the
+/// two interest sets minus the queries whose residual rejects the pair.
+std::multiset<std::string> NestedLoopJoin(const DQBatch& l, const DQBatch& r,
+                                          size_t lk, size_t rk,
+                                          const std::vector<OpQuery>& queries) {
+  static const std::vector<Value> kNoParams;
+  std::multiset<std::string> out;
+  for (size_t i = 0; i < l.size(); ++i) {
+    for (size_t j = 0; j < r.size(); ++j) {
+      const Value& a = l.tuples[i][lk];
+      if (a.is_null() || a.Compare(r.tuples[j][rk]) != 0) continue;
+      const Tuple joined = ConcatTuples(l.tuples[i], r.tuples[j]);
+      std::string ids;
+      for (const QueryId q : l.qids[i].Intersect(r.qids[j])) {
+        const ExprPtr& residual = queries[q].predicate;
+        if (residual == nullptr || residual->EvalBool(joined, kNoParams)) {
+          ids += " " + std::to_string(q);
+        }
+      }
+      if (!ids.empty()) out.insert(TupleToString(joined) + ids);
+    }
+  }
+  return out;
+}
+
+std::multiset<std::string> AnnotatedRows(const DQBatch& b) {
+  std::multiset<std::string> out;
+  for (size_t i = 0; i < b.size(); ++i) {
+    std::string ids;
+    for (const QueryId q : b.qids[i]) ids += " " + std::to_string(q);
+    out.insert(TupleToString(b.tuples[i]) + ids);
+  }
+  return out;
+}
+
+TEST(ParallelEquivalence, HashJoinBuildSideFollowsSmallerInput) {
+  // One shared op over two cycles: the left input is the smaller one in the
+  // first cycle and the larger one in the second, so the build side flips.
+  const SchemaPtr left = Schema::Make({{"k", ValueType::kInt},
+                                       {"lv", ValueType::kInt}});
+  const SchemaPtr right = Schema::Make({{"rv", ValueType::kInt},
+                                        {"k", ValueType::kInt}});
+  constexpr int kQueries = 8;
+  HashJoinOp op(left, right, /*left_key=*/0, /*right_key=*/1, "l", "r");
+  std::vector<OpQuery> queries(kQueries);
+  for (int q = 0; q < kQueries; ++q) {
+    queries[q].id = static_cast<QueryId>(q);
+    if (q % 4 == 1) {
+      queries[q].predicate = Expr::Lt(Expr::Column(1), Expr::Column(2));  // lv < rv
+    }
+  }
+  Rng rng(41);
+  auto qids = [&] {
+    std::vector<QueryId> ids;
+    for (int q = 0; q < kQueries; ++q) {
+      if (rng.Bernoulli(0.4)) ids.push_back(static_cast<QueryId>(q));
+    }
+    return QueryIdSet::FromSorted(std::move(ids));
+  };
+  auto key = [&](size_t i) {
+    return i % 37 == 0 ? Value::Null() : Value::Int(rng.Uniform(0, 150));
+  };
+
+  for (const auto& [nl, nr] : {std::pair<size_t, size_t>{200, 700}, {700, 200}}) {
+    const std::string label = "cycle " + std::to_string(nl) + "x" + std::to_string(nr);
+    DQBatch lbatch(left), rbatch(right);
+    for (size_t i = 0; i < nl; ++i) {
+      lbatch.Push({key(i), Value::Int(rng.Uniform(0, 99))}, qids());
+    }
+    for (size_t i = 0; i < nr; ++i) {
+      rbatch.Push({Value::Int(rng.Uniform(0, 99)), key(i)}, qids());
+    }
+
+    CycleContext serial_ctx;
+    serial_ctx.read_snapshot = 1;
+    serial_ctx.write_version = 2;
+    std::vector<BatchRef> in0;
+    in0.emplace_back(lbatch);
+    in0.emplace_back(rbatch);
+    WorkStats serial_stats;
+    const DQBatch expect = op.RunCycle(std::move(in0), queries, serial_ctx, &serial_stats);
+    ASSERT_GT(expect.size(), 0u) << label;
+    // Built on the smaller side: one hash entry per live non-NULL key there.
+    const DQBatch& smaller = nl < nr ? lbatch : rbatch;
+    const size_t key_col = nl < nr ? 0 : 1;
+    uint64_t builds = 0;
+    for (size_t i = 0; i < smaller.size(); ++i) {
+      builds += !smaller.tuples[i][key_col].is_null() && !smaller.qids[i].empty();
+    }
+    EXPECT_EQ(serial_stats.hash_builds, builds) << label;
+    EXPECT_EQ(AnnotatedRows(expect), NestedLoopJoin(lbatch, rbatch, 0, 1, queries))
+        << label;
+
+    for (const size_t workers : {1, 2, 4}) {
+      TaskPool pool(workers);
+      const ParallelContext pc = MakeCtx(&pool);
+      CycleContext ctx = serial_ctx;
+      ctx.parallel = &pc;
+      std::vector<BatchRef> in;
+      in.emplace_back(lbatch);
+      in.emplace_back(rbatch);
+      WorkStats stats;
+      const DQBatch got = op.RunCycle(std::move(in), queries, ctx, &stats);
+      ExpectBatchesIdentical(expect, got, label + " w=" + std::to_string(workers));
+      EXPECT_EQ(stats.hash_builds, serial_stats.hash_builds) << label;
+      EXPECT_EQ(stats.hash_probes, serial_stats.hash_probes) << label;
+    }
   }
 }
 

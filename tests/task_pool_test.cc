@@ -125,8 +125,8 @@ TEST(TaskPoolTest, ExceptionPropagatesInline) {
 }
 
 TEST(TaskPoolTest, NestedGroupsDoNotDeadlock) {
-  // A pool task forks its own group on the same pool (the partitioned-scan
-  // shape: partition tasks fan out scan morsels). Waiting tasks participate,
+  // A pool task forks its own group on the same pool (the plan-DAG shape:
+  // a plan-node task fans out scan morsels). Waiting tasks participate,
   // so this completes even when tasks outnumber workers.
   TaskPool pool(2);
   std::atomic<int> leaves{0};

@@ -78,9 +78,9 @@ TEST_F(WalTest, AppendAndReplayRoundTrip) {
 }
 
 TEST_F(WalTest, ConcurrentAppendsStaySerialized) {
-  // Table write observers fire from whichever thread mutates the table; the
-  // parallel partitioned update path makes that several threads against ONE
-  // shared log. Every record must land complete — interleaved bytes would
+  // Table write observers fire from whichever thread mutates the table;
+  // plan nodes updating different tables on the pool make that several
+  // threads against ONE shared log. Every record must land complete — interleaved bytes would
   // corrupt the tail (and replay would silently stop there).
   constexpr int kThreads = 4;
   constexpr int kPerThread = 500;
