@@ -76,7 +76,11 @@ void BenchRaw(bool sync, size_t batches) {
     }
   }
   const int64_t elapsed = NowNs() - t0;
-  wal.Close();
+  const Status closed = wal.Close();
+  if (!closed.ok()) {
+    std::fprintf(stderr, "micro_wal: %s\n", closed.message().c_str());
+    std::exit(1);
+  }
   const double per_batch =
       static_cast<double>(elapsed) / static_cast<double>(batches);
   const double recs_per_sec =

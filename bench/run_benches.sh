@@ -23,7 +23,7 @@
 # (p50/p95 per blocking Execute at 1/8/64 concurrent sessions).
 #
 # serial_tails sweeps the formerly-serial cycle tails (k-way merge,
-# group-by build, Γ result routing) across worker counts
+# group-by build) and a Γ-heavy batch across worker counts
 # (SDB_TAIL_WORKERS, default "0,2,4"). On a 1-core host only the serial
 # baseline (workers:0, plus the shared_work_saved row count, which is
 # worker-independent) is recorded and a warning explains why the
@@ -64,7 +64,7 @@ trap 'rm -rf "$TMP"' EXIT
 "$BUILD_DIR/micro_wal" | grep -v '^#' > "$TMP/micro_wal.tsv"
 
 # serial_tails compares the serial cycle paths against their parallel
-# twins (merge, group-by, Γ routing). On a 1-core box the "parallel"
+# twins (merge, group-by) and times a Γ-heavy batch. On a 1-core box the "parallel"
 # numbers are pure scheduling overhead dressed up as a sweep — warn,
 # record only the serial baseline (workers:0; shared_work_saved is a
 # row count and worker-independent, so it stays meaningful).

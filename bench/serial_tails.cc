@@ -1,17 +1,20 @@
-// Serial-tails bench: the three cycle stages that stayed single-threaded
-// until the loser-tree merge, the partition-parallel aggregate cycles and
-// the fan-out Γ routing landed. Each stage runs serial (workers:0) and at
-// each requested worker count; serial and parallel paths emit byte-identical
-// output (tests/parallel_test.cc), so the delta is pure wall-time.
+// Serial-tails bench: the merge and aggregate cycle stages that stayed
+// single-threaded until the loser-tree merge and the partition-parallel
+// aggregate cycles landed, plus one Γ-heavy batch. Each stage runs serial
+// (workers:0) and at each requested worker count; serial and parallel paths
+// emit byte-identical output (tests/parallel_test.cc), so the delta is pure
+// wall-time.
 //
 //   merge     SortOp cycle over a pre-annotated batch: morsel sort + k-way
 //             loser-tree merge (parallel: balanced merge rounds).
 //   group_by  GroupByOp cycle, low-cardinality key, COUNT/SUM/AVG/MIN
 //             (parallel: hash morsels + hash-partitioned build).
 //   gamma     Engine::RunOneBatch with 48 calls sharing 8 distinct
-//             statement+parameter pairs: measures result routing fan-out;
-//             the third column is the batch's shared_work_saved (rows
-//             delivered beyond rows materialized once — a plain count).
+//             statement+parameter pairs: the whole batch, whose Γ routes
+//             each shared root batch in one serial pass (workers only run
+//             the plan around it); the third column is the batch's
+//             shared_work_saved (rows delivered beyond rows materialized
+//             once — a plain count).
 //
 // Output (tab-separated, parsed by run_benches.sh into BENCH_micro.json):
 //   serial_tails/merge/workers:W     ns_per_row   rows   reps
@@ -185,7 +188,6 @@ void RunGammaStage(size_t workers, int reps) {
   auto cat = MakeGammaCatalog();
   EngineOptions opts;
   opts.parallel.num_workers = workers;
-  opts.parallel.min_items_per_task = 1;
   Engine engine(MakeGammaPlan(cat.get()), std::move(opts));
   api::ServerOptions sopts;
   sopts.start_paused = true;

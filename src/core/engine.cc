@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <chrono>
+#include <unordered_map>
 
 #include "core/ops/router.h"
 #include "core/ops/scan_op.h"
@@ -358,9 +359,10 @@ BatchReport Engine::RunOneBatch(size_t max_admissions) {
       in.node_updates[node].push_back(std::move(op));
     }
   }
-  for (const QueryRouting& r : routings) {
-    in.needed_outputs.push_back(r.root);
-  }
+  // Γ's subscriber lists: the query ids rooted at each needed node.
+  std::unordered_map<int, std::vector<QueryId>> subscribers;
+  for (const QueryRouting& r : routings) subscribers[r.root].push_back(r.qid);
+  for (const auto& [root, qids] : subscribers) in.needed_outputs.push_back(root);
 
   // --- execute one cycle of the global plan ---------------------------------
   BatchOutput out;
@@ -410,48 +412,31 @@ BatchReport Engine::RunOneBatch(size_t max_admissions) {
     report.rows_touched += root_batch.size();
   }
 
-  // Resolve each routing's source batch serially: the runtimes deliver an
-  // output entry for EVERY needed root (empty batches included), so a miss
-  // is always a dropped routing, never a legitimately-empty result. Count
-  // it (the differential fuzzer asserts the counter stays 0) and serve an
-  // empty result in release builds.
-  std::vector<const DQBatch*> routing_src(routings.size(), nullptr);
-  for (size_t ri = 0; ri < routings.size(); ++ri) {
-    const auto it = out.outputs.find(routings[ri].root);
-    if (it != out.outputs.end()) {
-      routing_src[ri] = &it->second;
-    } else {
-      SDB_DCHECK(false && "gamma: runtime delivered no output for a needed root");
-      ++report.missing_root_outputs;
-    }
-  }
-
-  // Γ result materialization: RowsFor() copies every subscriber's tuples out
-  // of the shared root batches — the dominant Γ cost — so it fans out across
-  // the pool. Tasks touch disjoint routed[] slots and only read the shared
-  // outputs; FULFILLMENT (the sinks) stays ordered on this thread below.
+  // Γ: one pass over each subscribed root batch appends every row to the
+  // result of each call rooted there, in batch row order. Query ids are
+  // dense (routing ri carries qid ri), so a vector indexed by qid is the
+  // destination table; ids routed from another root stay null. The runtimes
+  // deliver an output entry for EVERY needed root (empty batches included),
+  // so a miss is always a dropped routing, never a legitimately-empty
+  // result. Count it (the differential fuzzer asserts the counter stays 0)
+  // and serve an empty result in release builds.
   std::vector<ResultSet> routed(routings.size());
-  const auto route_one = [&](size_t ri) {
-    const QueryRouting& r = routings[ri];
-    ResultSet& rs = routed[ri];
-    rs.schema = r.schema;
-    fill_telemetry(&rs, batch[r.pending_index]);
-    if (routing_src[ri] != nullptr) rs.rows = routing_src[ri]->RowsFor(r.qid);
-  };
-  if (task_pool_ != nullptr &&
-      parallel_ctx_.EnabledItems(routings.size())) {
-    const size_t num_tasks = std::min(routings.size(), parallel_ctx_.max_tasks());
-    TaskGroup group(parallel_ctx_.pool);
-    for (size_t t = 0; t < num_tasks; ++t) {
-      const size_t lo = t * routings.size() / num_tasks;
-      const size_t hi = (t + 1) * routings.size() / num_tasks;
-      group.Run([&route_one, lo, hi] {
-        for (size_t ri = lo; ri < hi; ++ri) route_one(ri);
-      });
+  for (size_t ri = 0; ri < routings.size(); ++ri) {
+    SDB_DCHECK(routings[ri].qid == ri);
+    routed[ri].schema = routings[ri].schema;
+    fill_telemetry(&routed[ri], batch[routings[ri].pending_index]);
+  }
+  std::vector<std::vector<Tuple>*> dest(routings.size(), nullptr);
+  for (const auto& [root, qids] : subscribers) {
+    const auto it = out.outputs.find(root);
+    if (it == out.outputs.end()) {
+      SDB_DCHECK(false && "gamma: runtime delivered no output for a needed root");
+      report.missing_root_outputs += qids.size();
+      continue;
     }
-    group.Wait();
-  } else {
-    for (size_t ri = 0; ri < routings.size(); ++ri) route_one(ri);
+    for (const QueryId q : qids) dest[q] = &routed[q].rows;
+    RouteByQueryId(it->second, dest, nullptr);
+    for (const QueryId q : qids) dest[q] = nullptr;
   }
 
   for (const ResultSet& rs : routed) report.rows_delivered += rs.rows.size();

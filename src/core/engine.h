@@ -78,7 +78,7 @@ struct ParallelOptions {
   size_t num_workers = 0;
   /// Inputs smaller than this stay on the serial paths.
   size_t min_rows_per_task = 2048;
-  /// Item-granular work (probe groups, Γ routings) below this stays serial.
+  /// Item-granular work (probe groups) below this stays serial.
   size_t min_items_per_task = 8;
 };
 

@@ -2,16 +2,14 @@
 
 namespace shareddb {
 
-FlatHashMap<QueryId, std::vector<Tuple>> RouteByQueryId(const DQBatch& batch,
-                                                        WorkStats* stats) {
-  FlatHashMap<QueryId, std::vector<Tuple>> out;
+void RouteByQueryId(const DQBatch& batch, const std::vector<std::vector<Tuple>*>& dest,
+                    WorkStats* stats) {
   for (size_t i = 0; i < batch.size(); ++i) {
     for (const QueryId id : batch.qids[i]) {
-      out[id].push_back(batch.tuples[i]);
-      if (stats != nullptr) ++stats->qid_elems;
+      if (id < dest.size() && dest[id] != nullptr) dest[id]->push_back(batch.tuples[i]);
     }
+    if (stats != nullptr) stats->qid_elems += batch.qids[i].size();
   }
-  return out;
 }
 
 ProjectOp::ProjectOp(SchemaPtr input_schema, std::vector<size_t> columns)

@@ -1,7 +1,8 @@
 // Router (Γ by query_id, Figure 3): splits a shared operator's annotated
-// output into per-query result sets. In the engine this runs at each
-// statement's root node ("the routing of the join results to the relevant
-// queries is carried out using a grouping operator (Γ) by query_id").
+// output into per-query result sets. The engine runs it once per delivered
+// statement root, after each cycle ("the routing of the join results to the
+// relevant queries is carried out using a grouping operator (Γ) by
+// query_id").
 //
 // Also provides ProjectOp and UnionOp, the two shape-adjusting operators the
 // plan merger inserts when aligning schemas across shared paths.
@@ -11,15 +12,18 @@
 
 #include <vector>
 
-#include "common/flat_hash.h"
 #include "core/op.h"
 
 namespace shareddb {
 
-/// Splits one annotated batch into per-query plain result rows.
-/// Rows keep the batch order (sorted operators upstream stay sorted).
-FlatHashMap<QueryId, std::vector<Tuple>> RouteByQueryId(const DQBatch& batch,
-                                                        WorkStats* stats);
+/// Γ in one pass: appends each row of `batch`, in batch order, to
+/// `*dest[id]` for every id in its qid set that has a destination. Ids are
+/// dense per batch, so `dest` is indexed by id; an id at or past
+/// `dest.size()`, or with a null entry, belongs to a query routed from
+/// another node and is skipped. Costs one `qid_elems` per membership
+/// visited, so routing is linear in the batch, not in calls × rows.
+void RouteByQueryId(const DQBatch& batch, const std::vector<std::vector<Tuple>*>& dest,
+                    WorkStats* stats);
 
 /// Column projection (schema alignment before shared sorts/unions).
 class ProjectOp : public SharedOp {

@@ -117,7 +117,7 @@ class Cycle {
   /// Moves every needed root's output into `out->outputs`.
   void DeliverRoots() {
     for (const int r : in_.needed_outputs) {
-      // `needed_outputs` lists the root once per query; move on first sight.
+      // `needed_outputs` may list a root more than once; move on first sight.
       const auto [it, inserted] = out_->outputs.try_emplace(r);
       if (inserted && outputs_[r] != nullptr) it->second = std::move(*outputs_[r]);
     }

@@ -168,7 +168,7 @@ struct ParallelContext {
 
   /// Inputs smaller than this stay serial (task dispatch would dominate).
   size_t min_rows_per_task = 2048;
-  /// Item-granular work (probe groups, Γ routings): fewer items than this
+  /// Item-granular work (probe groups): fewer items than this
   /// stay serial. Items are coarse units — each may touch many rows — so the
   /// threshold is much lower than min_rows_per_task.
   size_t min_items_per_task = 8;

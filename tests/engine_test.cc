@@ -164,6 +164,54 @@ TEST_F(EngineFixture, SharedJoinServesDifferentParameters) {
   }
 }
 
+TEST_F(EngineFixture, GammaRoutesSharedProbeRootInOnePass) {
+  // One batch of 240 point lookups on one probe root. User ids repeat, so a
+  // probed row carries the qids of every call on that id; ids 20-24 match
+  // nothing. Every eighth call is a sort over the same probe, so the probe's
+  // root batch also carries qids that Γ routes from the sort node. Each call
+  // must get exactly its rows, in the order a solo run returns them.
+  orders_->CreateIndex("orders_user", "user_id");
+  GlobalPlanBuilder b(&catalog_);
+  const SchemaPtr os = orders_->schema();
+  const auto by_user = [&] {
+    return logical::Probe("orders", "orders_user",
+                          Expr::Eq(Expr::Column(*os, "user_id"), Expr::Param(0)));
+  };
+  b.AddQuery("orders_by_user", by_user());
+  b.AddQuery("orders_by_user_sorted", logical::Sort(by_user(), {{"amount", false}}));
+  Engine engine(b.Build());
+  const StatementDef* probe = engine.plan().FindStatement("orders_by_user");
+  const StatementDef* sorted = engine.plan().FindStatement("orders_by_user_sorted");
+  ASSERT_EQ(engine.plan().node(sorted->root).inputs, std::vector<int>{probe->root});
+
+  std::vector<std::pair<std::string, int64_t>> calls;
+  for (int i = 0; i < 240; ++i) {
+    calls.emplace_back(i % 8 == 7 ? "orders_by_user_sorted" : "orders_by_user",
+                       (i * 7) % 25);
+  }
+  std::vector<std::future<ResultSet>> futures;
+  for (const auto& [name, uid] : calls) {
+    futures.push_back(engine.SubmitNamed(name, {Value::Int(uid)}));
+  }
+  const BatchReport report = engine.RunOneBatch();
+  EXPECT_EQ(report.num_queries, calls.size());
+  EXPECT_EQ(report.missing_root_outputs, 0u);
+  EXPECT_GT(report.shared_work_saved, 0u);
+
+  size_t delivered = 0;
+  for (size_t i = 0; i < calls.size(); ++i) {
+    const auto& [name, uid] = calls[i];
+    const ResultSet got = futures[i].get();
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    ASSERT_EQ(got.rows.size(), uid < 20 ? 3u : 0u) << i;  // 60 orders, 20 users
+    for (const Tuple& row : got.rows) EXPECT_EQ(row[1].AsInt(), uid) << i;
+    const ResultSet solo = engine.ExecuteSyncNamed(name, {Value::Int(uid)});
+    EXPECT_EQ(got.rows, solo.rows) << i << " " << name << "(" << uid << ")";
+    delivered += got.rows.size();
+  }
+  EXPECT_EQ(report.rows_delivered, delivered);
+}
+
 TEST_F(EngineFixture, GroupByAndTopNInOneBatch) {
   Engine engine(BuildPlan());
   auto f1 = engine.SubmitNamed("accounts_by_country", {});

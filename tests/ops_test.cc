@@ -547,10 +547,49 @@ TEST(RouterTest, SplitsByQueryId) {
   b.Push({Value::Int(1), Value::Int(1)}, QueryIdSet{0, 1});
   b.Push({Value::Int(2), Value::Int(2)}, QueryIdSet{1});
   WorkStats stats;
-  auto routed = RouteByQueryId(b, &stats);
+  std::vector<std::vector<Tuple>> routed(2);
+  RouteByQueryId(b, {&routed[0], &routed[1]}, &stats);
   EXPECT_EQ(routed[0].size(), 1u);
   EXPECT_EQ(routed[1].size(), 2u);
   EXPECT_EQ(stats.qid_elems, 3u);
+}
+
+TEST(RouterTest, OnePassVisitsEachMembershipOnce) {
+  // N rows with one qid each and N subscribers: a linear Γ visits exactly N
+  // memberships, where a per-subscriber rescan would visit N * N.
+  constexpr size_t kN = 512;
+  DQBatch b(RSchema());
+  std::vector<std::vector<Tuple>> routed(kN);
+  std::vector<std::vector<Tuple>*> dest;
+  for (size_t i = 0; i < kN; ++i) {
+    const int64_t v = static_cast<int64_t>(i);
+    b.Push({Value::Int(v), Value::Int(v)}, QueryIdSet(static_cast<QueryId>(i)));
+    dest.push_back(&routed[i]);
+  }
+  WorkStats stats;
+  RouteByQueryId(b, dest, &stats);
+  EXPECT_EQ(stats.qid_elems, kN);
+  for (size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(routed[i].size(), 1u) << i;
+    EXPECT_EQ(routed[i][0][0].AsInt(), static_cast<int64_t>(i));
+  }
+}
+
+TEST(RouterTest, SkipsIdsRoutedFromAnotherRootAndKeepsBatchOrder) {
+  // Query 1 has no destination here (its root is another node) and query 3
+  // lies past the table; both are visited and skipped.
+  DQBatch b(RSchema());
+  b.Push({Value::Int(1), Value::Int(1)}, QueryIdSet{0, 1, 2});
+  b.Push({Value::Int(2), Value::Int(2)}, QueryIdSet{1, 3});
+  b.Push({Value::Int(3), Value::Int(3)}, QueryIdSet{0, 2, 3});
+  std::vector<Tuple> q0, q2;
+  WorkStats stats;
+  RouteByQueryId(b, {&q0, nullptr, &q2}, &stats);
+  EXPECT_EQ(stats.qid_elems, 8u);
+  ASSERT_EQ(q0.size(), 2u);
+  EXPECT_EQ(q0[0][0].AsInt(), 1);
+  EXPECT_EQ(q0[1][0].AsInt(), 3);
+  EXPECT_EQ(q0, q2);
 }
 
 // --- property: shared ops equal per-query reference -----------------------------------

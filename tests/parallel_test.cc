@@ -863,18 +863,17 @@ TEST_F(ParallelEngineFixture, ParallelEngineMatchesSerialAcrossBatches) {
 }
 
 TEST_F(ParallelEngineFixture, GammaRoutingParallelMatchesSerialAndCountsSharing) {
-  // Many concurrent calls, most sharing one statement+parameter: result
-  // routing fans out across the pool on the parallel server (the item
-  // threshold is dropped to 1) while the serial server routes inline. The
-  // per-call results, the batch-level sharing win, and the routing-miss
-  // counter must all agree.
+  // Many concurrent calls, most sharing one statement+parameter: the
+  // parallel server runs the plan on the pool while both servers route
+  // results in Γ's one serial pass. The per-call results, the batch-level
+  // sharing win, and the routing-miss counter must all agree.
   auto serial_cat = MakeCatalog();
   auto par_cat = MakeCatalog();
   Engine serial_engine(BuildPlan(serial_cat.get()));
   EngineOptions popts;
   popts.parallel.num_workers = 4;
   popts.parallel.min_rows_per_task = 16;
-  popts.parallel.min_items_per_task = 1;  // small batches still fan out Γ
+  popts.parallel.min_items_per_task = 1;  // no item-granular stage stays serial
   Engine par_engine(BuildPlan(par_cat.get()), std::move(popts));
   api::ServerOptions sopts;
   sopts.start_paused = true;

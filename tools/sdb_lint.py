@@ -24,6 +24,7 @@ Checks (each can be listed with --list-checks):
                   a justification comment on the same or preceding line.
                   ([[nodiscard]] catches this at compile time too; the lint
                   additionally enforces the justification comment.)
+                  Covers the .cc files under src/ and bench/.
 
   include-guard   Every .h under src/ must have a #ifndef/#define include
                   guard (or #pragma once).
@@ -314,12 +315,13 @@ def run_all(root):
     impls = [p for p in src_files if p.endswith(".cc")]
     test_files = find_sources(root, "tests", {".h", ".cc"})
     tool_files = find_sources(root, "tools", {".h", ".cc"})
+    bench_impls = find_sources(root, "bench", {".cc"})
 
     findings = []
     findings += check_raw_sync(root, src_files + test_files + tool_files)
     findings += check_unguarded(root, headers)
     status_fns = collect_status_functions(root, headers)
-    findings += check_ignored_status(root, impls, status_fns)
+    findings += check_ignored_status(root, impls + bench_impls, status_fns)
     findings += check_include_guards(root, headers)
     findings += check_bare_escapes(root, src_files)
     return findings
@@ -441,6 +443,7 @@ def self_test():
             "src/runtime/bad_fields.h": SEEDED_UNGUARDED,
             "src/storage/seed_status.h": SEEDED_IGNORED_STATUS_H,
             "src/storage/bad_status.cc": SEEDED_IGNORED_STATUS_CC,
+            "bench/bad_bench.cc": SEEDED_IGNORED_STATUS_CC,
             "src/api/no_guard.h": SEEDED_NO_GUARD,
             "src/core/bad_escape.cc": SEEDED_BARE_ESCAPE,
             # The whitelist itself must stay exempt.
@@ -453,6 +456,9 @@ def self_test():
                "bad_fields.h:9: unguarded: member 'pending_'", True)
         expect("ignored-status seeded", findings,
                "bad_status.cc:5: ignored-status", True)
+        expect("ignored-status seeded in bench/", findings,
+               os.path.join("bench", "bad_bench.cc") + ":5: ignored-status",
+               True)
         expect("include-guard seeded", findings,
                "no_guard.h:1: include-guard", True)
         expect("bare-escape seeded", findings,
@@ -464,6 +470,7 @@ def self_test():
             "src/runtime/good_fields.h": CLEAN_UNGUARDED,
             "src/storage/seed_status.h": SEEDED_IGNORED_STATUS_H,
             "src/storage/good_status.cc": CLEAN_IGNORED_STATUS_CC,
+            "bench/good_bench.cc": CLEAN_IGNORED_STATUS_CC,
         })
         findings = run_all(tmp)
         if findings:
